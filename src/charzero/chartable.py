@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from pathlib import Path
 
-from .cyclotomic import Cyclotomic, cyc_from_json, cyc_to_json, root_of_unity
+from .cyclotomic import Cyclotomic, cyc_from_json, cyc_to_json, cyclotomic_polynomial, root_of_unity
 from .partitions import mn_value, partitions_of, z_order
 
 __all__ = [
@@ -276,9 +276,66 @@ def direct_product(a: CharacterTable, b: CharacterTable) -> CharacterTable:
 # validation
 
 
+def _gram_modulus(t: CharacterTable) -> tuple[int, int, int]:
+    """(N, x, M) for the row-orthogonality check of a table whose values are
+    all algebraic integers: N is the lcm of the value conductors, x = 2^s is
+    the least power of two above B + 1, where B = (sum of |class size|) * L^2
+    + |order| and L is the largest coefficient L1 norm of any value, and
+    M = Phi_N(x)."""
+    values = [v for ch in t.characters for v in ch.values]
+    n = math.lcm(*(v.conductor for v in values))
+    l1 = max((sum(abs(q.numerator) for q in v.coeffs) for v in values), default=0)
+    bound = sum(abs(c.size) for c in t.classes) * l1 * l1 + abs(t.order)
+    s = (bound + 1).bit_length()
+    modulus = sum(coef << (s * i) for i, coef in enumerate(cyclotomic_polynomial(n)))
+    return n, 1 << s, modulus
+
+
+def _row_orthogonality(t: CharacterTable) -> list[str]:
+    fails = [
+        f"character {r} value at class {c} is not an algebraic integer"
+        for r, ch in enumerate(t.characters)
+        for c, v in enumerate(ch.values)
+        if any(q.denominator != 1 for q in v.coeffs)
+    ]
+    if fails:
+        return fails
+    n, x, modulus = _gram_modulus(t)
+    powers = [1]
+    for _ in range(1, n):
+        powers.append(powers[-1] * x % modulus)
+
+    def image(v: Cyclotomic, sign: int) -> int:
+        # zeta_n^e = zeta_N^(e*N/n) -> x^(e*N/n); conjugation negates e
+        step = sign * (n // v.conductor)
+        return sum(q.numerator * powers[e * step % n] for e, q in enumerate(v.coeffs) if q)
+
+    sizes = [c.size for c in t.classes]
+    weighted = [[size * image(v, 1) for size, v in zip(sizes, ch.values)] for ch in t.characters]
+    conjugate = [[image(v, -1) for v in ch.values] for ch in t.characters]
+    for r1, row in enumerate(weighted):
+        for r2 in range(r1, len(weighted)):
+            expect = t.order if r1 == r2 else 0
+            if (sum(map(operator.mul, row, conjugate[r2])) - expect) % modulus:
+                fails.append(f"row orthogonality fails for characters {r1},{r2}")
+    return fails
+
+
 def validate(t: CharacterTable) -> list[str]:
     """Check every table invariant; returns a list of failure descriptions
-    (empty list = table is consistent)."""
+    (empty list = table is consistent).
+
+    Row orthogonality, sum_c |c| chi_r1(c) conj(chi_r2(c)) = |G| delta, is
+    checked once in Z/M, with N, x = 2^s and M = Phi_N(x) from _gram_modulus:
+    - zeta_N -> x is a ring map Z[zeta_N] -> Z/M, as Phi_N(x) = M.
+    - Let a be a Gram entry minus |G| delta; each conjugate of a is at most B
+      in absolute value.  If a != 0 maps to 0, M divides the nonzero integer
+      N(a), yet |N(a)| <= B^phi(N) < (x-1)^phi(N) <= M.  So a = 0.
+    - That needs a to be an algebraic integer.  The power basis is an
+      integral basis of Z[zeta_n], so a value with a non-integral coefficient
+      is not one; it is reported as a failure.
+    - Column orthogonality adds nothing on a square table:
+      X C X^H = |G| I gives X^H X = |G| C^-1."""
     fails: list[str] = []
     nc = len(t.classes)
 
@@ -324,31 +381,7 @@ def validate(t: CharacterTable) -> list[str]:
     if any(len(ch.values) != nc for ch in t.characters):
         return fails  # orthogonality is meaningless with ragged rows
 
-    conj_rows = [[v.conj() for v in ch.values] for ch in t.characters]
-    order_c = Cyclotomic.from_rational(t.order)
-
-    # first (row) orthogonality
-    for r1, ch1 in enumerate(t.characters):
-        for r2 in range(r1, len(t.characters)):
-            acc = Cyclotomic.zero()
-            for c, cls in enumerate(t.classes):
-                acc = acc + cls.size * (ch1.values[c] * conj_rows[r2][c])
-            expect = order_c if r1 == r2 else Cyclotomic.zero()
-            if acc != expect:
-                fails.append(f"row orthogonality fails for characters {r1},{r2}")
-
-    # second (column) orthogonality
-    for c1 in range(nc):
-        for c2 in range(c1, nc):
-            acc = Cyclotomic.zero()
-            for r in range(len(t.characters)):
-                acc = acc + t.characters[r].values[c1] * conj_rows[r][c2]
-            if c1 == c2:
-                expect = Cyclotomic.from_rational(Fraction(t.order, t.classes[c1].size))
-            else:
-                expect = Cyclotomic.zero()
-            if acc != expect:
-                fails.append(f"column orthogonality fails for classes {c1},{c2}")
+    fails += _row_orthogonality(t)
 
     m = t.metadata
     if m.nilpotent and m.fitting_height is not None and m.fitting_height != 1:

@@ -29,7 +29,7 @@ from test_zerographs import brute_force_alpha
 
 
 def test_criterion_01_symmetric_tables_exact_orthogonality():
-    """S_n for n <= 10: exact row/column orthogonality and sum deg^2 = n!."""
+    """S_n for n <= 10: exact orthogonality and sum deg^2 = n!."""
     start = time.monotonic()
     fact = 1
     for n in range(1, 11):
