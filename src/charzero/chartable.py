@@ -401,15 +401,16 @@ def validate(t: CharacterTable) -> list[str]:
 # serialization
 
 
-_META_FIELDS = (
-    "solvable",
-    "nilpotent",
-    "abelian_by_metanilpotent",
-    "fitting_height",
-    "r_value",
-    "simple",
-    "notes",
-)
+# metadata field -> the type its value must have when it is not null
+_META_FIELDS = {
+    "solvable": bool,
+    "nilpotent": bool,
+    "abelian_by_metanilpotent": bool,
+    "fitting_height": int,
+    "r_value": int,
+    "simple": bool,
+    "notes": str,
+}
 
 
 def table_to_json(t: CharacterTable) -> dict:
@@ -456,6 +457,10 @@ def table_from_json(data: dict) -> CharacterTable:
         if not isinstance(rc, dict):
             raise SchemaError(f"class {i} must be an object")
         label = rc.get("label")
+        if label is not None and not (
+            isinstance(label, list) and all(type(e) is int for e in label)
+        ):
+            raise SchemaError(f"field 'label' in class {i} must be a list of integers")
         classes.append(
             ConjClass(
                 name=_require(rc, "name", str, f"class {i}"),
@@ -476,7 +481,7 @@ def table_from_json(data: dict) -> CharacterTable:
             )
         try:
             values = tuple(cyc_from_json(v) for v in vals)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
             raise SchemaError(f"character {i} has a malformed value: {exc}") from exc
         characters.append(Character(name=_require(rc, "name", str, f"character {i}"), values=values))
 
@@ -486,6 +491,9 @@ def table_from_json(data: dict) -> CharacterTable:
     unknown = set(raw_meta) - set(_META_FIELDS)
     if unknown:
         raise SchemaError(f"unknown metadata fields: {sorted(unknown)}")
+    for key, kind in _META_FIELDS.items():
+        if raw_meta.get(key) is not None:
+            _require(raw_meta, key, kind, "metadata")
     meta = TableMetadata(**raw_meta)
 
     # The identity class must be first; ingestion reorders if needed.
@@ -509,14 +517,9 @@ def save_table(t: CharacterTable, path) -> None:
     Path(path).write_text(json.dumps(table_to_json(t), indent=1) + "\n")
 
 
-def load_table(path, check: bool = False) -> CharacterTable:
+def load_table(path) -> CharacterTable:
     try:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise SchemaError(f"malformed JSON in {path}: {exc}") from exc
-    t = table_from_json(data)
-    if check:
-        fails = validate(t)
-        if fails:
-            raise ValueError(f"table {path} failed validation: {fails}")
-    return t
+    return table_from_json(data)

@@ -12,6 +12,8 @@ import csv
 import io
 import json
 import sys
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .chartable import (
@@ -26,7 +28,7 @@ from .chartable import (
     save_table,
     validate,
 )
-from .hcover import NoCoverError, check_cover, min_cover
+from .hcover import COVER_FLAGS, NoCoverError, check_cover, min_cover
 from .vanishing import (
     DataIntegrityError,
     burnside_check,
@@ -39,8 +41,8 @@ from .vanishing import (
     zero_pattern,
 )
 from .zerographs import (
+    BOUND_FLAGS,
     bipartite_to_dot,
-    bound_checks,
     components,
     delta_v,
     gamma_v,
@@ -57,71 +59,145 @@ def _err(msg: str) -> int:
     return 2
 
 
+@dataclass
+class TableAnalysis:
+    """The facts every command reports about one table, each computed on
+    first use and at most once."""
+
+    table: CharacterTable
+
+    @cached_property
+    def pattern(self):
+        return zero_pattern(self.table)
+
+    @cached_property
+    def cover(self):
+        return min_cover(self.pattern)
+
+    @cached_property
+    def gamma(self):
+        return gamma_v(self.pattern)
+
+    @cached_property
+    def delta(self):
+        return delta_v(self.pattern)
+
+    @cached_property
+    def gamma_components(self) -> int:
+        return len(components(self.gamma))
+
+    @cached_property
+    def delta_components(self) -> int:
+        return len(components(self.delta))
+
+    @cached_property
+    def gamma_alpha(self) -> int:
+        return independence_number(self.gamma)[0]
+
+    @cached_property
+    def delta_alpha(self) -> int:
+        return independence_number(self.delta)[0]
+
+    def flags(self, checks) -> list[str]:
+        """`check:text` for every flag the selected checks raise, in a fixed
+        order: burnside, mno, camina, hmm-components, covers, witnesses,
+        bounds."""
+        t, p, m = self.table, self.pattern, self.table.metadata
+        flags: list[str] = []
+        if "burnside" in checks:
+            ok, bad = burnside_check(p)
+            if not ok:
+                flags.append(f"burnside:characters {bad} never vanish")
+        if "mno" in checks:
+            ok, bad = prime_power_check(t, p)
+            if not ok:
+                flags.append(f"mno:characters {bad} have no prime-power-order zero")
+        if "camina" in checks:
+            try:
+                camina_classes(t, p)
+            except DataIntegrityError as exc:
+                flags.append(f"camina:{exc}")
+        if "hmm-components" in checks:
+            ng, nd = self.gamma_components, self.delta_components
+            if ng != nd:
+                flags.append(f"hmm-components:Gamma_v has {ng}, Delta_v has {nd}")
+        cover = None
+        if "covers" in checks or "witnesses" in checks:
+            try:
+                cover = self.cover
+            except NoCoverError as exc:
+                flags.append(f"covers:{exc}")
+        if "covers" in checks and cover is not None:
+            flags += [
+                f"covers:{text.format(k=cover.k_min, m=m)}"
+                for _, text, holds in COVER_FLAGS
+                if holds(m, cover.k_min)
+            ]
+        if "witnesses" in checks and cover is not None:
+            ok, bad = check_cover(p, cover.witness)
+            if not ok:
+                flags.append(f"witnesses:solver witness leaves characters {bad} uncovered")
+        if "bounds" in checks:
+            flags += [
+                f"bounds:{name}"
+                for name, holds in BOUND_FLAGS
+                if holds(m, self.gamma_alpha, self.gamma_components)
+            ]
+        return flags
+
+
+_BUILDERS = {"sym": build_symmetric, "dihedral": build_dihedral, "cyclic": build_cyclic}
+
+
 def _cmd_gen(args) -> int:
-    family = args.family
     params = args.params
     try:
-        if family == "sym":
-            table = build_symmetric(int(params[0]))
-        elif family == "dihedral":
-            table = build_dihedral(int(params[0]))
-        elif family == "cyclic":
-            table = build_cyclic(int(params[0]))
-        elif family == "abelian":
+        if args.family == "abelian":
             table = build_abelian([int(p) for p in params])
-        elif family == "product":
+        elif args.family == "product":
             if len(params) != 2:
                 return _err("product takes exactly two table files")
             table = direct_product(load_table(params[0]), load_table(params[1]))
         else:
-            return _err(f"unknown family {family!r}")
+            table = _BUILDERS[args.family](int(params[0]))
+        save_table(table, args.output)
     except (ValueError, IndexError, SchemaError, OSError) as exc:
         return _err(str(exc))
-    save_table(table, args.output)
     return 0
 
 
-def _load(path) -> CharacterTable:
+def _load(path) -> TableAnalysis:
     table = load_table(path)
     fails = validate(table)
     if fails:
         raise SchemaError(f"{path}: validation failed: {'; '.join(fails)}")
-    return table
-
-
-def _analysis(table: CharacterTable) -> dict:
-    p = zero_pattern(table)
-    names = lambda ixs: sorted(table.classes[c].name for c in ixs)
-    cover = min_cover(p)
-    g = gamma_v(p)
-    d = delta_v(p)
-    alpha_g, _ = independence_number(g)
-    alpha_d, _ = independence_number(d)
-    return {
-        "group": table.group_name,
-        "order": table.order,
-        "n_classes": len(table.classes),
-        "n_characters": len(table.characters),
-        "n_nonlinear": p.n_rows,
-        "vanishing_classes": names(vanishing_classes(p)),
-        "nonvanishing_classes": names(nonvanishing_classes(p)),
-        "camina_classes": names(camina_classes(table, p)),
-        "central_type_characters": sorted(
-            table.characters[r].name for r in central_type_characters(table, p)
-        ),
-        "k_min": cover.k_min,
-        "witness": [table.classes[c].name for c in cover.witness],
-        "gamma_v_components": len(components(g)),
-        "delta_v_components": len(components(d)),
-        "gamma_v_independence": alpha_g,
-        "delta_v_independence": alpha_d,
-    }
+    return TableAnalysis(table)
 
 
 def _cmd_analyze(args) -> int:
     try:
-        table = _load(args.file)
-        info = _analysis(table)
+        a = _load(args.file)
+        t, p = a.table, a.pattern
+        names = lambda ixs: sorted(t.classes[c].name for c in ixs)
+        info = {
+            "group": t.group_name,
+            "order": t.order,
+            "n_classes": len(t.classes),
+            "n_characters": len(t.characters),
+            "n_nonlinear": p.n_rows,
+            "vanishing_classes": names(vanishing_classes(p)),
+            "nonvanishing_classes": names(nonvanishing_classes(p)),
+            "camina_classes": names(camina_classes(t, p)),
+            "central_type_characters": sorted(
+                t.characters[r].name for r in central_type_characters(t, p)
+            ),
+            "k_min": a.cover.k_min,
+            "witness": [t.classes[c].name for c in a.cover.witness],
+            "gamma_v_components": a.gamma_components,
+            "delta_v_components": a.delta_components,
+            "gamma_v_independence": a.gamma_alpha,
+            "delta_v_independence": a.delta_alpha,
+        }
     except (SchemaError, OSError, DataIntegrityError, NoCoverError) as exc:
         return _err(str(exc))
     if args.format == "json":
@@ -154,17 +230,16 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_cover(args) -> int:
     try:
-        table = _load(args.file)
-        result = min_cover(zero_pattern(table))
+        a = _load(args.file)
+        result = a.cover
     except (SchemaError, OSError, NoCoverError) as exc:
         return _err(str(exc))
-    witness = [table.classes[c].name for c in result.witness]
     print(
         json.dumps(
             {
-                "group": table.group_name,
+                "group": a.table.group_name,
                 "k_min": result.k_min,
-                "witness": witness,
+                "witness": [a.table.classes[c].name for c in result.witness],
                 "explored_nodes": result.explored_nodes,
                 "proof_lb": result.proof_lb,
             },
@@ -178,24 +253,21 @@ def _cmd_cover(args) -> int:
 
 def _cmd_graphs(args) -> int:
     try:
-        table = _load(args.file)
+        a = _load(args.file)
+        t, p = a.table, a.pattern
+        outdir = Path(args.out)
+        outdir.mkdir(parents=True, exist_ok=True)
+        (outdir / "pattern.json").write_text(json.dumps(pattern_to_json(p), indent=1) + "\n")
+        if args.dot:
+            degrees = {ch.name: f"deg={ch.degree}" for ch in t.characters}
+            orders = {c.name: f"ord={c.element_order}" for c in t.classes}
+            (outdir / "gamma_v.dot").write_text(to_dot(a.gamma, "gamma_v", degrees))
+            (outdir / "delta_v.dot").write_text(to_dot(a.delta, "delta_v", orders))
+            (outdir / "theta.dot").write_text(
+                bipartite_to_dot(theta(t, p), "theta", {**degrees, **orders})
+            )
     except (SchemaError, OSError) as exc:
         return _err(str(exc))
-    p = zero_pattern(table)
-    g = gamma_v(p)
-    d = delta_v(p)
-    th = theta(table, p)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "pattern.json").write_text(json.dumps(pattern_to_json(p), indent=1) + "\n")
-    if args.dot:
-        degrees = {ch.name: f"deg={ch.degree}" for ch in table.characters}
-        orders = {c.name: f"ord={c.element_order}" for c in table.classes}
-        (outdir / "gamma_v.dot").write_text(to_dot(g, "gamma_v", degrees))
-        (outdir / "delta_v.dot").write_text(to_dot(d, "delta_v", orders))
-        (outdir / "theta.dot").write_text(
-            bipartite_to_dot(th, "theta", {**degrees, **orders})
-        )
     return 0
 
 
@@ -210,51 +282,6 @@ def _collect_paths(paths) -> list[Path]:
     return sorted(set(files))
 
 
-def _run_checks(table: CharacterTable, checks) -> list[str]:
-    p = zero_pattern(table)
-    flags: list[str] = []
-    if "burnside" in checks:
-        ok, bad = burnside_check(p)
-        if not ok:
-            flags.append(f"burnside:characters {bad} never vanish")
-    if "mno" in checks:
-        ok, bad = prime_power_check(table, p)
-        if not ok:
-            flags.append(f"mno:characters {bad} have no prime-power-order zero")
-    if "camina" in checks:
-        try:
-            camina_classes(table, p)
-        except DataIntegrityError as exc:
-            flags.append(f"camina:{exc}")
-    if "hmm-components" in checks:
-        ng = len(components(gamma_v(p)))
-        nd = len(components(delta_v(p)))
-        if ng != nd:
-            flags.append(f"hmm-components:Gamma_v has {ng}, Delta_v has {nd}")
-    cover = None
-    if "covers" in checks or "witnesses" in checks:
-        try:
-            cover = min_cover(p)
-        except NoCoverError as exc:
-            flags.append(f"covers:{exc}")
-    if "covers" in checks and cover is not None:
-        if cover.k_min > 3:
-            flags.append(f"covers:k_min={cover.k_min}>3 (conjecture 1a counterexample)")
-        if table.metadata.solvable and cover.k_min > 2:
-            flags.append(f"covers:solvable with k_min={cover.k_min}>2 (conjecture 1b)")
-        if table.metadata.r_value is not None and cover.k_min > table.metadata.r_value:
-            flags.append(f"covers:k_min={cover.k_min} exceeds r(G)={table.metadata.r_value}")
-        if table.metadata.simple and cover.k_min > 3:
-            flags.append(f"covers:simple group with k_min={cover.k_min}>3")
-    if "witnesses" in checks and cover is not None:
-        ok, bad = check_cover(p, cover.witness)
-        if not ok:
-            flags.append(f"witnesses:solver witness leaves characters {bad} uncovered")
-    if "bounds" in checks:
-        flags.extend(f"bounds:{f}" for f in bound_checks(table, p))
-    return flags
-
-
 def _cmd_verify(args) -> int:
     checks = ALL_CHECKS if args.checks == "all" else tuple(args.checks.split(","))
     unknown = set(checks) - set(ALL_CHECKS)
@@ -265,18 +292,15 @@ def _cmd_verify(args) -> int:
         return _err("no input files")
     rows = []
     had_error = False
-    had_flags = False
     for f in files:
         try:
-            table = _load(f)
+            a = _load(f)
         except (SchemaError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             rows.append({"file": str(f), "group": "", "flags": ["load-error"]})
             had_error = True
             continue
-        flags = _run_checks(table, checks)
-        had_flags = had_flags or bool(flags)
-        rows.append({"file": str(f), "group": table.group_name, "flags": flags})
+        rows.append({"file": str(f), "group": a.table.group_name, "flags": a.flags(checks)})
 
     if args.format == "json":
         print(json.dumps({"checks": list(checks), "tables": rows}, indent=1))
@@ -289,7 +313,7 @@ def _cmd_verify(args) -> int:
         sys.stdout.write(buf.getvalue())
     if had_error:
         return 2
-    return 1 if had_flags else 0
+    return 1 if any(r["flags"] for r in rows) else 0
 
 
 def _cmd_report(args) -> int:
@@ -299,43 +323,34 @@ def _cmd_report(args) -> int:
     rows = []
     for f in files:
         try:
-            table = _load(f)
-        except (SchemaError, OSError) as exc:
+            a = _load(f)
+            t = a.table
+            rows.append(
+                {
+                    "group": t.group_name,
+                    "order": t.order,
+                    "n_classes": len(t.classes),
+                    "n_nonlinear": a.pattern.n_rows,
+                    "k_min": a.cover.k_min,
+                    "witness_names": ";".join(t.classes[c].name for c in a.cover.witness),
+                    "flags": ";".join(a.flags(ALL_CHECKS)),
+                }
+            )
+        except (SchemaError, OSError, NoCoverError) as exc:
             return _err(str(exc))
-        p = zero_pattern(table)
-        cover = min_cover(p)
-        flags = _run_checks(table, ALL_CHECKS)
-        rows.append(
-            {
-                "group": table.group_name,
-                "order": table.order,
-                "n_classes": len(table.classes),
-                "n_nonlinear": p.n_rows,
-                "k_min": cover.k_min,
-                "witness_names": ";".join(table.classes[c].name for c in cover.witness),
-                "flags": ";".join(flags),
-            }
-        )
     out = Path(args.output)
     if out.suffix == ".json":
-        out.write_text(json.dumps(rows, indent=1) + "\n")
+        text = json.dumps(rows, indent=1) + "\n"
     else:
         buf = io.StringIO()
-        writer = csv.DictWriter(
-            buf,
-            fieldnames=[
-                "group",
-                "order",
-                "n_classes",
-                "n_nonlinear",
-                "k_min",
-                "witness_names",
-                "flags",
-            ],
-        )
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
-        out.write_text(buf.getvalue())
+        text = buf.getvalue()
+    try:
+        out.write_text(text)
+    except OSError as exc:
+        return _err(str(exc))
     return 1 if any(r["flags"] for r in rows) else 0
 
 
@@ -344,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a character table")
-    gen.add_argument("family", choices=["sym", "dihedral", "cyclic", "abelian", "product"])
+    gen.add_argument("family", choices=[*_BUILDERS, "abelian", "product"])
     gen.add_argument("params", nargs="+")
     gen.add_argument("-o", "--output", required=True)
     gen.set_defaults(func=_cmd_gen)

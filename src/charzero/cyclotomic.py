@@ -19,12 +19,6 @@ __all__ = [
     "cyclotomic_polynomial",
     "euler_phi",
     "root_of_unity",
-    "add",
-    "mul",
-    "neg",
-    "conj",
-    "is_zero",
-    "approx_complex",
     "cyc_to_json",
     "cyc_from_json",
 ]
@@ -310,31 +304,6 @@ def root_of_unity(n: int, k: int) -> Cyclotomic:
     if n < 1:
         raise ValueError("n must be >= 1")
     return Cyclotomic._make(n, _normalize(n, {k % n: Fraction(1)}))
-
-
-def add(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
-    return a + b
-
-
-def mul(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
-    return a * b
-
-
-def neg(a: Cyclotomic) -> Cyclotomic:
-    return -a
-
-
-def conj(a: Cyclotomic) -> Cyclotomic:
-    return a.conj()
-
-
-def is_zero(a: Cyclotomic) -> bool:
-    return a.is_zero()
-
-
-def approx_complex(a: Cyclotomic) -> tuple[float, float]:
-    z = a.approx()
-    return (z.real, z.imag)
 
 
 def cyc_to_json(v: Cyclotomic):

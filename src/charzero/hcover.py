@@ -19,6 +19,7 @@ __all__ = [
     "min_cover",
     "check_cover",
     "pair_cover_product",
+    "COVER_FLAGS",
     "conjecture_report",
 ]
 
@@ -136,24 +137,27 @@ def pair_cover_product(
     return [ia * width + ib for ia, ib in zip(ca, cb)]
 
 
+# The k_min flags: (report id, verify text, predicate on (metadata, k_min)).
+# The verify text is formatted with k = k_min and m = the metadata.
+COVER_FLAGS = (
+    ("conjecture-1a-counterexample", "k_min={k}>3 (conjecture 1a counterexample)",
+     lambda m, k: k > 3),
+    ("conjecture-1b-counterexample", "solvable with k_min={k}>2 (conjecture 1b)",
+     lambda m, k: m.solvable and k > 2),
+    ("r-bound-violated-bad-data", "k_min={k} exceeds r(G)={m.r_value}",
+     lambda m, k: m.r_value is not None and k > m.r_value),
+    ("simple-h3-violated-bad-data", "simple group with k_min={k}>3",
+     lambda m, k: m.simple and k > 3),
+)
+
+
 def conjecture_report(corpus: list[CharacterTable]) -> dict:
-    """Per-table minimum covers with counterexample / bad-data flags.  The
+    """Per-table minimum covers with the COVER_FLAGS ids they raise.  The
     report only ever records the absence of counterexamples in the corpus."""
     entries = []
-    any_flags = False
     for t in corpus:
         p = zero_pattern(t)
         result = min_cover(p)
-        flags = []
-        if result.k_min > 3:
-            flags.append("conjecture-1a-counterexample")
-        if t.metadata.solvable and result.k_min > 2:
-            flags.append("conjecture-1b-counterexample")
-        if t.metadata.r_value is not None and result.k_min > t.metadata.r_value:
-            flags.append("r-bound-violated-bad-data")
-        if t.metadata.simple and result.k_min > 3:
-            flags.append("simple-h3-violated-bad-data")
-        any_flags = any_flags or bool(flags)
         entries.append(
             {
                 "group": t.group_name,
@@ -162,7 +166,9 @@ def conjecture_report(corpus: list[CharacterTable]) -> dict:
                 "n_nonlinear": p.n_rows,
                 "k_min": result.k_min,
                 "witness": [t.classes[c].name for c in result.witness],
-                "flags": flags,
+                "flags": [
+                    name for name, _, holds in COVER_FLAGS if holds(t.metadata, result.k_min)
+                ],
             }
         )
-    return {"tables": entries, "clean": not any_flags}
+    return {"tables": entries, "clean": not any(e["flags"] for e in entries)}

@@ -19,6 +19,7 @@ __all__ = [
     "theta",
     "components",
     "independence_number",
+    "BOUND_FLAGS",
     "bound_checks",
     "to_dot",
     "bipartite_to_dot",
@@ -199,33 +200,31 @@ def independence_number(
     return best_size, tuple(witness)
 
 
+# The Gamma_v flags: (id, predicate on (metadata, alpha(Gamma_v), number of
+# components of Gamma_v)).
+BOUND_FLAGS = (
+    ("fitting-height-bound-violated-bad-data",
+     lambda m, alpha, ncomp: m.fitting_height is not None and alpha > m.fitting_height),
+    ("abelian-by-metanilpotent-bound-violated-bad-data",
+     lambda m, alpha, ncomp: m.abelian_by_metanilpotent and alpha > 2),
+    ("conjecture-2a-counterexample", lambda m, alpha, ncomp: alpha > 3),
+    ("conjecture-2b-counterexample", lambda m, alpha, ncomp: m.solvable and alpha > 2),
+    ("components-conjecture-counterexample", lambda m, alpha, ncomp: ncomp > 3),
+    ("solvable-components-bound-violated", lambda m, alpha, ncomp: m.solvable and ncomp > 2),
+)
+
+
 def bound_checks(t: CharacterTable, p: ZeroPattern) -> list[str]:
-    """Flags for independence-number and component-count statements: solvable
-    bounds, the abelian-by-metanilpotent bound, the fitting-height bound, and
-    the at-most-three-components conjecture.  Empty list = nothing flagged."""
-    flags: list[str] = []
+    """The BOUND_FLAGS ids a table raises: solvable bounds, the
+    abelian-by-metanilpotent bound, the fitting-height bound, and the
+    at-most-three-components conjecture.  Empty list = nothing flagged."""
     m = t.metadata
     if m.fitting_height is not None and m.fitting_height < 1:
-        flags.append("metadata-invalid:fitting_height")
-        return flags
-
+        return ["metadata-invalid:fitting_height"]
     g = gamma_v(p)
     alpha, _ = independence_number(g)
     ncomp = len(components(g))
-
-    if m.fitting_height is not None and alpha > m.fitting_height:
-        flags.append("fitting-height-bound-violated-bad-data")
-    if m.abelian_by_metanilpotent and alpha > 2:
-        flags.append("abelian-by-metanilpotent-bound-violated-bad-data")
-    if alpha > 3:
-        flags.append("conjecture-2a-counterexample")
-    if m.solvable and alpha > 2:
-        flags.append("conjecture-2b-counterexample")
-    if ncomp > 3:
-        flags.append("components-conjecture-counterexample")
-    if m.solvable and ncomp > 2:
-        flags.append("solvable-components-bound-violated")
-    return flags
+    return [name for name, holds in BOUND_FLAGS if holds(m, alpha, ncomp)]
 
 
 def to_dot(g: SimpleGraph, name: str, annotations: dict[str, str] | None = None) -> str:

@@ -3,7 +3,7 @@ import shutil
 
 import pytest
 
-from charzero.chartable import load_table, validate
+from charzero.chartable import SchemaError, load_table, validate
 from charzero.cli import main
 
 from conftest import FIXTURE_DIR, FIXTURE_NAMES
@@ -163,3 +163,79 @@ class TestReport:
         by_group = {r["group"]: r for r in rows}
         assert by_group["A5"]["k_min"] == 3
         assert all(not r["flags"] for r in rows)
+
+
+def _set_metadata(key, value):
+    return lambda doc: doc["metadata"].update({key: value})
+
+
+def _set_label(value):
+    return lambda doc: doc["classes"][1].update(label=value)
+
+
+def _zero_denominator(doc):
+    doc["characters"][0]["values"][1] = {"conductor": 3, "coeffs": [[1, 0], [0, 1]]}
+
+
+MALFORMED = {
+    "solvable-string": _set_metadata("solvable", "yes"),
+    "simple-int": _set_metadata("simple", 1),
+    "fitting-height-string": _set_metadata("fitting_height", "2"),
+    "fitting-height-bool": _set_metadata("fitting_height", True),
+    "r-value-string": _set_metadata("r_value", "3"),
+    "r-value-float": _set_metadata("r_value", 2.0),
+    "notes-int": _set_metadata("notes", 5),
+    "label-int": _set_label(5),
+    "label-strings": _set_label(["a"]),
+    "label-bools": _set_label([True]),
+    "value-zero-denominator": _zero_denominator,
+}
+
+
+class TestSchemaTypes:
+    @pytest.mark.parametrize("mutate", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_field_is_a_load_error(self, tmp_path, capsys, mutate):
+        doc = json.loads((FIXTURE_DIR / "a5.json").read_text())
+        mutate(doc)
+        path = tmp_path / "a5.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError):
+            load_table(path)
+        assert main(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1] == f"{path},,load-error"
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+    def test_null_metadata_and_int_labels_load(self, tmp_path):
+        doc = json.loads((FIXTURE_DIR / "a5.json").read_text())
+        doc["metadata"].update(fitting_height=None, notes="checked by hand")
+        doc["classes"][1]["label"] = [2, 2]
+        path = tmp_path / "a5.json"
+        path.write_text(json.dumps(doc))
+        t = load_table(path)
+        assert t.metadata.notes == "checked by hand" and t.classes[1].label == (2, 2)
+
+
+class TestOutputPathErrors:
+    def _assert_clean_error(self, capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_gen(self, tmp_path, capsys):
+        assert main(["gen", "sym", "3", "-o", str(tmp_path / "missing" / "x.json")]) == 2
+        self._assert_clean_error(capsys)
+
+    def test_report(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        main(["gen", "sym", "3", "-o", str(corpus / "s3.json")])
+        assert main(["report", str(corpus), "-o", str(tmp_path / "missing" / "r.csv")]) == 2
+        self._assert_clean_error(capsys)
+
+    def test_graphs(self, tmp_path, capsys):
+        path = tmp_path / "s3.json"
+        main(["gen", "sym", "3", "-o", str(path)])
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        assert main(["graphs", str(path), "--out", str(blocker / "graphs"), "--dot"]) == 2
+        self._assert_clean_error(capsys)

@@ -6,13 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from charzero.cyclotomic import (
     Cyclotomic,
-    approx_complex,
-    conj,
     cyc_from_json,
     cyc_to_json,
     cyclotomic_polynomial,
     euler_phi,
-    is_zero,
     root_of_unity,
 )
 
@@ -71,7 +68,7 @@ class TestRingOps:
 
     def test_conj_fixes_real_value(self):
         v = root_of_unity(8, 1) + root_of_unity(8, 7)
-        assert conj(v) == v
+        assert v.conj() == v
 
     def test_embedding_consistency(self):
         z3 = root_of_unity(3, 1)
@@ -81,11 +78,11 @@ class TestRingOps:
 
 class TestIsZero:
     def test_vanishing_sum(self):
-        assert is_zero(1 + root_of_unity(3, 1) + root_of_unity(3, 2))
+        assert (1 + root_of_unity(3, 1) + root_of_unity(3, 2)).is_zero()
 
     def test_nonzero_sum_with_numeric_oracle(self):
         v = root_of_unity(8, 1) + root_of_unity(8, 3)
-        assert not is_zero(v)
+        assert not v.is_zero()
         assert abs(abs(v.approx()) - math.sqrt(2)) < 1e-12
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -101,16 +98,17 @@ class TestIsZero:
 
 class TestApprox:
     def test_zero(self):
-        assert approx_complex(Cyclotomic.zero()) == (0.0, 0.0)
+        z = Cyclotomic.zero().approx()
+        assert (z.real, z.imag) == (0.0, 0.0)
 
     def test_i(self):
-        re, im = approx_complex(root_of_unity(4, 1))
-        assert abs(re) < 1e-12 and abs(im - 1.0) < 1e-12
+        z = root_of_unity(4, 1).approx()
+        assert abs(z.real) < 1e-12 and abs(z.imag - 1.0) < 1e-12
 
     def test_golden_section(self):
-        re, im = approx_complex(root_of_unity(5, 1) + root_of_unity(5, 4))
-        assert abs(re - (math.sqrt(5) - 1) / 2) < 1e-12
-        assert abs(im) < 1e-12
+        z = (root_of_unity(5, 1) + root_of_unity(5, 4)).approx()
+        assert abs(z.real - (math.sqrt(5) - 1) / 2) < 1e-12
+        assert abs(z.imag) < 1e-12
 
 
 small_values = st.builds(
@@ -138,8 +136,7 @@ class TestRingAxioms:
     @settings(max_examples=60, deadline=None)
     @given(small_values)
     def test_norm_is_real(self, a):
-        _, im = approx_complex(a * a.conj())
-        assert abs(im) < 1e-9
+        assert abs((a * a.conj()).approx().imag) < 1e-9
 
 
 class TestJson:
