@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .cyclotomic import Cyclotomic, cyc_from_json, cyc_to_json, cyclotomic_polynomial, root_of_unity
-from .partitions import mn_value, partitions_of, z_order
+from .partitions import _mn, partitions_of, z_order
 
 __all__ = [
     "ConjClass",
@@ -96,6 +96,15 @@ class CharacterTable:
 # constructors
 
 
+class _IntValues(dict):
+    """The rational-integer values of one table: one shared Cyclotomic per
+    integer, made on first lookup."""
+
+    def __missing__(self, k: int) -> Cyclotomic:
+        v = self[k] = Cyclotomic.from_rational(k)
+        return v
+
+
 def build_symmetric(n: int) -> CharacterTable:
     """Exact character table of S_n via the Murnaghan-Nakayama recursion."""
     if not 1 <= n <= 14:
@@ -114,11 +123,11 @@ def build_symmetric(n: int) -> CharacterTable:
         )
         for mu in class_order
     )
+    # partitions_of yields canonical partitions, so the cached recursion runs
+    # without mn_value's checks.
+    ints = _IntValues()
     characters = tuple(
-        Character(
-            name=f"chi{lam}",
-            values=tuple(Cyclotomic.from_rational(mn_value(lam, mu)) for mu in class_order),
-        )
+        Character(name=f"chi{lam}", values=tuple(ints[_mn(lam, mu)] for mu in class_order))
         for lam in parts
     )
     meta = TableMetadata(solvable=(n <= 4), simple=False)
@@ -471,6 +480,7 @@ def table_from_json(data: dict) -> CharacterTable:
         )
 
     characters = []
+    ints = _IntValues()
     for i, rc in enumerate(raw_chars):
         if not isinstance(rc, dict):
             raise SchemaError(f"character {i} must be an object")
@@ -480,7 +490,7 @@ def table_from_json(data: dict) -> CharacterTable:
                 f"character {i} has {len(vals)} values for {len(classes)} classes"
             )
         try:
-            values = tuple(cyc_from_json(v) for v in vals)
+            values = tuple(ints[v] if type(v) is int else cyc_from_json(v) for v in vals)
         except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
             raise SchemaError(f"character {i} has a malformed value: {exc}") from exc
         characters.append(Character(name=_require(rc, "name", str, f"character {i}"), values=values))
@@ -514,7 +524,18 @@ def table_from_json(data: dict) -> CharacterTable:
 
 
 def save_table(t: CharacterTable, path) -> None:
-    Path(path).write_text(json.dumps(table_to_json(t), indent=1) + "\n")
+    """Write table_to_json(t) as plain JSON with one class and one character
+    per line, each encoded by json.dumps."""
+
+    def field(key, value) -> str:
+        if key in ("classes", "characters"):
+            value = "[" + ",".join(f"\n  {json.dumps(row)}" for row in value) + "\n ]"
+        else:
+            value = json.dumps(value)
+        return f"{json.dumps(key)}: {value}"
+
+    doc = table_to_json(t)
+    Path(path).write_text("{\n " + ",\n ".join(field(k, v) for k, v in doc.items()) + "\n}\n")
 
 
 def load_table(path) -> CharacterTable:

@@ -399,7 +399,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:  # the CLI reports any failure on one line, never a traceback
+        return _err(f"{type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

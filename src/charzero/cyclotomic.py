@@ -139,6 +139,10 @@ class Cyclotomic:
         if conductor < 1:
             raise ValueError("conductor must be >= 1")
         vec = tuple(Fraction(c) for c in coeffs)
+        # phi(n) >= sqrt(n/2) for every n >= 1, so a larger conductor cannot
+        # match; this keeps euler_phi off a huge (possibly prime) input.
+        if conductor > 2 * len(vec) ** 2:
+            raise ValueError(f"conductor {conductor} needs more than {len(vec)} coefficients")
         if len(vec) != euler_phi(conductor):
             raise ValueError(
                 f"expected {euler_phi(conductor)} coefficients for conductor "
@@ -223,10 +227,12 @@ class Cyclotomic:
         other = Cyclotomic._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if other.conductor == 1 or self.conductor == 1:
+            # a rational times a reduced vector is still reduced
+            a, q = (self, other.coeffs[0]) if other.conductor == 1 else (other, self.coeffs[0])
+            return Cyclotomic._make(a.conductor, tuple(map(q.__mul__, a.coeffs)))
         a, b = self._common(other)
         n = a.conductor
-        if n == 1:
-            return Cyclotomic._make(1, (a.coeffs[0] * b.coeffs[0],))
         sparse: dict[int, Fraction] = {}
         bs = b._sparse()
         for i, ci in a._sparse().items():
@@ -308,9 +314,9 @@ def root_of_unity(n: int, k: int) -> Cyclotomic:
 
 def cyc_to_json(v: Cyclotomic):
     """JSON encoding: bare int for rational integers, else the full record."""
-    n = v.as_integer()
-    if n is not None:
-        return n
+    coeffs = v.coeffs
+    if coeffs[0].denominator == 1 and not any(coeffs[1:]):
+        return coeffs[0].numerator
     return {
         "conductor": v.conductor,
         "coeffs": [[c.numerator, c.denominator] for c in v.coeffs],
@@ -324,6 +330,8 @@ def cyc_from_json(obj) -> Cyclotomic:
         return Cyclotomic.from_rational(obj)
     if isinstance(obj, dict):
         n = obj["conductor"]
+        if type(n) is not int:
+            raise ValueError(f"conductor must be an integer, got {n!r}")
         coeffs = [Fraction(num, den) for num, den in obj["coeffs"]]
         return Cyclotomic(n, coeffs)
     raise ValueError(f"cannot decode cyclotomic value from {obj!r}")

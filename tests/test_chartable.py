@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -21,6 +22,7 @@ from charzero.chartable import (
     validate,
 )
 from charzero.cyclotomic import Cyclotomic, root_of_unity
+from charzero.partitions import mn_value, partitions_of
 
 from conftest import FIXTURE_DIR, FIXTURE_NAMES
 
@@ -46,6 +48,16 @@ class TestBuildSymmetric:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_two_linear_characters(self, n):
         assert build_symmetric(n).n_linear == 2
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_entries_match_mn_value(self, n):
+        # oracle: the validated public entry point, entry by entry
+        t = build_symmetric(n)
+        assert [ch.name for ch in t.characters] == [f"chi{lam}" for lam in partitions_of(n)]
+        for lam, ch in zip(partitions_of(n), t.characters):
+            assert [(v.conductor, v.coeffs) for v in ch.values] == [
+                (1, (Fraction(mn_value(lam, c.label)),)) for c in t.classes
+            ]
 
     def test_identity_class_first(self):
         t = build_symmetric(6)
@@ -210,7 +222,37 @@ class TestValidate:
                 assert full_norm == (cls.size == 1)
 
 
+SAVED_TABLES = {
+    "s1": lambda: build_symmetric(1),
+    "s6": lambda: build_symmetric(6),
+    "d10": lambda: build_dihedral(5),
+    "d24": lambda: build_dihedral(12),
+    "c1": lambda: build_cyclic(1),
+    "c2xc4": lambda: build_abelian([2, 4]),
+    "s3xd8": lambda: direct_product(build_symmetric(3), build_dihedral(4)),
+    "a5xd10": lambda: direct_product(load_table(FIXTURE_DIR / "a5.json"), build_dihedral(5)),
+    **{name: lambda name=name: load_table(FIXTURE_DIR / f"{name}.json") for name in FIXTURE_NAMES},
+}
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("make", SAVED_TABLES.values(), ids=SAVED_TABLES.keys())
+    def test_saved_file_is_table_to_json(self, tmp_path, make):
+        t = make()
+        path = tmp_path / "t.json"
+        save_table(t, path)
+        doc = table_to_json(t)
+        text = path.read_text()
+        assert json.loads(text) == doc
+        assert list(json.loads(text)) == list(doc)
+        assert table_to_json(load_table(path)) == doc
+        # one class and one character per line
+        lines = text.splitlines()
+        nc, nk = len(t.classes), len(t.characters)
+        assert len(lines) == nc + nk + 9
+        rows = [json.loads(line.rstrip(",")) for line in lines[4 : 4 + nc] + lines[6 + nc : 6 + nc + nk]]
+        assert rows == doc["classes"] + doc["characters"]
+
     def test_round_trip(self, tmp_path):
         t = build_dihedral(8)
         path = tmp_path / "d16.json"

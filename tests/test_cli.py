@@ -1,5 +1,6 @@
 import json
 import shutil
+import time
 
 import pytest
 
@@ -177,6 +178,10 @@ def _zero_denominator(doc):
     doc["characters"][0]["values"][1] = {"conductor": 3, "coeffs": [[1, 0], [0, 1]]}
 
 
+def _float_conductor(doc):
+    doc["characters"][1]["values"][3]["conductor"] = 5.0
+
+
 MALFORMED = {
     "solvable-string": _set_metadata("solvable", "yes"),
     "simple-int": _set_metadata("simple", 1),
@@ -189,6 +194,7 @@ MALFORMED = {
     "label-strings": _set_label(["a"]),
     "label-bools": _set_label([True]),
     "value-zero-denominator": _zero_denominator,
+    "value-float-conductor": _float_conductor,
 }
 
 
@@ -205,6 +211,22 @@ class TestSchemaTypes:
         captured = capsys.readouterr()
         assert captured.out.splitlines()[1] == f"{path},,load-error"
         assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+    def test_huge_conductor_is_rejected_at_once(self, tmp_path, capsys):
+        # euler_phi of this prime would trial-divide for minutes
+        path = tmp_path / "s3.json"
+        assert main(["gen", "sym", "3", "-o", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        doc["characters"][1]["values"][1] = {"conductor": 2305843009213693951, "coeffs": []}
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        with pytest.raises(SchemaError, match="conductor"):
+            load_table(path)
+        assert main(["verify", str(path)]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1] == f"{path},,load-error"
+        assert "Traceback" not in captured.err
 
     def test_null_metadata_and_int_labels_load(self, tmp_path):
         doc = json.loads((FIXTURE_DIR / "a5.json").read_text())
@@ -239,3 +261,21 @@ class TestOutputPathErrors:
         blocker.write_text("")
         assert main(["graphs", str(path), "--out", str(blocker / "graphs"), "--dot"]) == 2
         self._assert_clean_error(capsys)
+
+
+class TestUnexpectedErrors:
+    def test_graph_cap_is_one_error_line(self, tmp_path, capsys):
+        # S_13's Gamma_v has 99 vertices, above the exact solver's cap
+        path = tmp_path / "s13.json"
+        assert main(["gen", "sym", "13", "-o", str(path)]) == 0
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: GraphTooLargeError: ") and len(err.splitlines()) == 1
+
+    def test_any_exception_is_one_error_line(self, monkeypatch, capsys):
+        def boom(_table):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("charzero.cli.zero_pattern", boom)
+        assert main(["analyze", str(FIXTURE_DIR / "a5.json")]) == 2
+        assert capsys.readouterr().err == "error: RuntimeError: boom\n"

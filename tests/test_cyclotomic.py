@@ -139,6 +139,31 @@ class TestRingAxioms:
         assert abs((a * a.conj()).approx().imag) < 1e-9
 
 
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def reduced_values(draw):
+    n = draw(st.integers(min_value=3, max_value=64))
+    phi = euler_phi(n)
+    return Cyclotomic(n, draw(st.lists(rationals, min_size=phi, max_size=phi)))
+
+
+class TestScalarProduct:
+    @settings(max_examples=80, deadline=None)
+    @given(rationals, reduced_values())
+    def test_matches_the_embed_path(self, q, v):
+        # oracle: q placed at v's conductor, multiplied by the general product
+        n = v.conductor
+        padded = Cyclotomic(n, [q] + [0] * (euler_phi(n) - 1))
+        assert padded == Cyclotomic.from_rational(q).embed(n)
+        expect = padded * v
+        scalars = [q, Cyclotomic.from_rational(q)] + ([int(q)] if q.denominator == 1 else [])
+        for s in scalars:
+            for got in (s * v, v * s):
+                assert (got.conductor, got.coeffs) == (expect.conductor, expect.coeffs)
+
+
 class TestJson:
     def test_integer_shorthand(self):
         assert cyc_to_json(Cyclotomic.from_rational(7)) == 7
@@ -163,6 +188,10 @@ class TestInvariants:
     def test_coeff_length_checked(self):
         with pytest.raises(ValueError):
             Cyclotomic(12, [1, 2, 3])
+
+    def test_conductor_bound_admits_every_totient(self):
+        # the early rejection n > 2 len^2 must never refuse a correct length
+        assert all(n <= 2 * euler_phi(n) ** 2 for n in range(1, 20000))
 
     def test_immutable(self):
         v = root_of_unity(5, 1)
