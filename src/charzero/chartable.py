@@ -264,10 +264,16 @@ def direct_product(a: CharacterTable, b: CharacterTable) -> CharacterTable:
         for ca in a.classes
         for cb in b.classes
     )
+    ints = _IntValues()
+
+    def times(va: Cyclotomic, vb: Cyclotomic) -> Cyclotomic:
+        v = va * vb
+        return ints.setdefault(v.coeffs[0], v) if v.conductor == 1 else v
+
     characters = tuple(
         Character(
             name=f"{xa.name}*{xb.name}",
-            values=tuple(va * vb for va in xa.values for vb in xb.values),
+            values=tuple(times(va, vb) for va in xa.values for vb in xb.values),
         )
         for xa in a.characters
         for xb in b.characters
@@ -293,7 +299,7 @@ def _gram_modulus(t: CharacterTable) -> tuple[int, int, int]:
     M = Phi_N(x)."""
     values = [v for ch in t.characters for v in ch.values]
     n = math.lcm(*(v.conductor for v in values))
-    l1 = max((sum(abs(q.numerator) for q in v.coeffs) for v in values), default=0)
+    l1 = max((sum(map(abs, v.coeffs)) for v in values), default=0)
     bound = sum(abs(c.size) for c in t.classes) * l1 * l1 + abs(t.order)
     s = (bound + 1).bit_length()
     modulus = sum(coef << (s * i) for i, coef in enumerate(cyclotomic_polynomial(n)))
@@ -305,7 +311,7 @@ def _row_orthogonality(t: CharacterTable) -> list[str]:
         f"character {r} value at class {c} is not an algebraic integer"
         for r, ch in enumerate(t.characters)
         for c, v in enumerate(ch.values)
-        if any(q.denominator != 1 for q in v.coeffs)
+        if not v.is_algebraic_integer()
     ]
     if fails:
         return fails
@@ -317,7 +323,7 @@ def _row_orthogonality(t: CharacterTable) -> list[str]:
     def image(v: Cyclotomic, sign: int) -> int:
         # zeta_n^e = zeta_N^(e*N/n) -> x^(e*N/n); conjugation negates e
         step = sign * (n // v.conductor)
-        return sum(q.numerator * powers[e * step % n] for e, q in enumerate(v.coeffs) if q)
+        return sum(q * powers[e * step % n] for e, q in enumerate(v.coeffs) if q)
 
     sizes = [c.size for c in t.classes]
     weighted = [[size * image(v, 1) for size, v in zip(sizes, ch.values)] for ch in t.characters]
@@ -458,6 +464,8 @@ def table_from_json(data: dict) -> CharacterTable:
         raise SchemaError("table document must be a JSON object")
     name = _require(data, "group_name", str, "table")
     order = _require(data, "order", int, "table")
+    if order < 1:
+        raise SchemaError(f"group order must be positive, got {order}")
     raw_classes = _require(data, "classes", list, "table")
     raw_chars = _require(data, "characters", list, "table")
 

@@ -300,7 +300,13 @@ def _cmd_verify(args) -> int:
             rows.append({"file": str(f), "group": "", "flags": ["load-error"]})
             had_error = True
             continue
-        rows.append({"file": str(f), "group": a.table.group_name, "flags": a.flags(checks)})
+        try:
+            flags = a.flags(checks)
+        except Exception as exc:  # one table's failure must not hide the other rows
+            print(f"error: {f}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            flags = ["analysis-error"]
+            had_error = True
+        rows.append({"file": str(f), "group": a.table.group_name, "flags": flags})
 
     if args.format == "json":
         print(json.dumps({"checks": list(checks), "tables": rows}, indent=1))

@@ -5,12 +5,17 @@ the N-th cyclotomic polynomial (power basis 1, zeta, ..., zeta^(phi(N)-1)).
 The representation is canonical at a fixed conductor, so equality and the
 zero test are decided by comparing coefficient vectors; operands at different
 conductors are embedded into the lcm conductor first.
+
+An integral coefficient is always a plain int; only a non-integral one is a
+Fraction.  Character values are algebraic integers, and the power basis is an
+integral basis of Z[zeta_N], so their coefficients are all ints.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -104,13 +109,24 @@ def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-_ZERO = Fraction(0)
+def _coef(c) -> int | Fraction:
+    """c as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    q = Fraction(c)
+    return q.numerator if q.denominator == 1 else q
 
 
-def _normalize(n: int, sparse: dict[int, Fraction]) -> tuple[Fraction, ...]:
+def _canon(vec: tuple) -> tuple:
+    """vec with every integral Fraction turned into an int; a vector of ints
+    comes back as it is."""
+    return vec if Fraction not in map(type, vec) else tuple(map(_coef, vec))
+
+
+def _normalize(n: int, sparse: dict[int, int | Fraction]) -> tuple[int | Fraction, ...]:
     # sparse maps exponents in [0, n) to coefficients; reduce mod Phi_n.
     phi = euler_phi(n)
-    coeffs = [_ZERO] * phi
+    coeffs = [0] * phi
     rows = None
     for e, c in sparse.items():
         if not c:
@@ -123,7 +139,7 @@ def _normalize(n: int, sparse: dict[int, Fraction]) -> tuple[Fraction, ...]:
             for i, r in enumerate(rows[e - phi]):
                 if r:
                     coeffs[i] += c * r
-    return tuple(coeffs)
+    return _canon(tuple(coeffs))
 
 
 class Cyclotomic:
@@ -138,7 +154,7 @@ class Cyclotomic:
     def __init__(self, conductor: int, coeffs):
         if conductor < 1:
             raise ValueError("conductor must be >= 1")
-        vec = tuple(Fraction(c) for c in coeffs)
+        vec = tuple(map(_coef, coeffs))
         # phi(n) >= sqrt(n/2) for every n >= 1, so a larger conductor cannot
         # match; this keeps euler_phi off a huge (possibly prime) input.
         if conductor > 2 * len(vec) ** 2:
@@ -155,7 +171,7 @@ class Cyclotomic:
         raise AttributeError("Cyclotomic values are immutable")
 
     @classmethod
-    def _make(cls, conductor: int, vec: tuple[Fraction, ...]) -> "Cyclotomic":
+    def _make(cls, conductor: int, vec: tuple[int | Fraction, ...]) -> "Cyclotomic":
         obj = object.__new__(cls)
         object.__setattr__(obj, "conductor", conductor)
         object.__setattr__(obj, "coeffs", vec)
@@ -163,17 +179,17 @@ class Cyclotomic:
 
     @classmethod
     def from_rational(cls, q) -> "Cyclotomic":
-        return cls._make(1, (Fraction(q),))
+        return cls._make(1, (_coef(q),))
 
     @classmethod
     def zero(cls) -> "Cyclotomic":
-        return cls._make(1, (_ZERO,))
+        return cls._make(1, (0,))
 
     @classmethod
     def one(cls) -> "Cyclotomic":
-        return cls._make(1, (Fraction(1),))
+        return cls._make(1, (1,))
 
-    def _sparse(self) -> dict[int, Fraction]:
+    def _sparse(self) -> dict[int, int | Fraction]:
         return {e: c for e, c in enumerate(self.coeffs) if c}
 
     def embed(self, target: int) -> "Cyclotomic":
@@ -206,13 +222,13 @@ class Cyclotomic:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._common(other)
-        vec = tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
-        return Cyclotomic._make(a.conductor, vec)
+        vec = tuple(map(operator.add, a.coeffs, b.coeffs))
+        return Cyclotomic._make(a.conductor, _canon(vec))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic._make(self.conductor, tuple(-c for c in self.coeffs))
+        return Cyclotomic._make(self.conductor, tuple(map(operator.neg, self.coeffs)))
 
     def __sub__(self, other):
         other = Cyclotomic._coerce(other)
@@ -230,10 +246,10 @@ class Cyclotomic:
         if other.conductor == 1 or self.conductor == 1:
             # a rational times a reduced vector is still reduced
             a, q = (self, other.coeffs[0]) if other.conductor == 1 else (other, self.coeffs[0])
-            return Cyclotomic._make(a.conductor, tuple(map(q.__mul__, a.coeffs)))
+            return Cyclotomic._make(a.conductor, _canon(tuple([q * c for c in a.coeffs])))
         a, b = self._common(other)
         n = a.conductor
-        sparse: dict[int, Fraction] = {}
+        sparse: dict[int, int | Fraction] = {}
         bs = b._sparse()
         for i, ci in a._sparse().items():
             for j, cj in bs.items():
@@ -269,17 +285,21 @@ class Cyclotomic:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def rational_value(self) -> Fraction | None:
-        """The value as a Fraction if it lies in Q, else None."""
+    def is_algebraic_integer(self) -> bool:
+        """True when every coefficient is an int.  The power basis is an
+        integral basis of Z[zeta_N], so these are exactly the algebraic
+        integers of Q(zeta_N)."""
+        return Fraction not in map(type, self.coeffs)
+
+    def rational_value(self) -> int | Fraction | None:
+        """The value if it lies in Q (an int when it is an integer), else None."""
         if any(self.coeffs[1:]):
             return None
         return self.coeffs[0]
 
     def as_integer(self) -> int | None:
         q = self.rational_value()
-        if q is None or q.denominator != 1:
-            return None
-        return int(q)
+        return q if type(q) is int else None
 
     def approx(self) -> complex:
         n = self.conductor
@@ -309,17 +329,18 @@ def root_of_unity(n: int, k: int) -> Cyclotomic:
     """zeta_n^k in canonical reduced form at conductor n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return Cyclotomic._make(n, _normalize(n, {k % n: Fraction(1)}))
+    return Cyclotomic._make(n, _normalize(n, {k % n: 1}))
 
 
 def cyc_to_json(v: Cyclotomic):
     """JSON encoding: bare int for rational integers, else the full record."""
     coeffs = v.coeffs
-    if coeffs[0].denominator == 1 and not any(coeffs[1:]):
-        return coeffs[0].numerator
+    c = coeffs[0]
+    if type(c) is int and (len(coeffs) == 1 or not any(coeffs[1:])):
+        return c
     return {
         "conductor": v.conductor,
-        "coeffs": [[c.numerator, c.denominator] for c in v.coeffs],
+        "coeffs": [[c, 1] if type(c) is int else [c.numerator, c.denominator] for c in coeffs],
     }
 
 
@@ -332,6 +353,9 @@ def cyc_from_json(obj) -> Cyclotomic:
         n = obj["conductor"]
         if type(n) is not int:
             raise ValueError(f"conductor must be an integer, got {n!r}")
-        coeffs = [Fraction(num, den) for num, den in obj["coeffs"]]
+        coeffs = [
+            num if type(num) is int and type(den) is int and den == 1 else Fraction(num, den)
+            for num, den in obj["coeffs"]
+        ]
         return Cyclotomic(n, coeffs)
     raise ValueError(f"cannot decode cyclotomic value from {obj!r}")

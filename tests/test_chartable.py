@@ -27,6 +27,47 @@ from charzero.partitions import mn_value, partitions_of
 from conftest import FIXTURE_DIR, FIXTURE_NAMES
 
 
+class TestIntegerCoefficients:
+    """Character values are algebraic integers, so every coefficient of every
+    value a constructor or the loader makes is a plain int, never a Fraction."""
+
+    @staticmethod
+    def assert_int_coefficients(t):
+        bad = [
+            (ch.name, c, v.coeffs)
+            for ch in t.characters
+            for c, v in enumerate(ch.values)
+            if any(type(q) is not int for q in v.coeffs)
+        ]
+        assert not bad, (t.group_name, bad[:3])
+
+    def test_symmetric(self, symmetric_tables):
+        for t in symmetric_tables.values():
+            self.assert_int_coefficients(t)
+
+    def test_dihedral(self, dihedral_tables):
+        for t in dihedral_tables.values():
+            self.assert_int_coefficients(t)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 12, 60])
+    def test_cyclic(self, n):
+        self.assert_int_coefficients(build_cyclic(n))
+
+    @pytest.mark.parametrize("factors", [[2, 2], [4], [2, 4], [6], [3, 5], [2, 3, 4]])
+    def test_abelian(self, factors):
+        self.assert_int_coefficients(build_abelian(factors))
+
+    def test_products(self, random_products, tmp_path):
+        for _, _, t in random_products:
+            self.assert_int_coefficients(t)
+            save_table(t, tmp_path / "product.json")
+            self.assert_int_coefficients(load_table(tmp_path / "product.json"))
+
+    def test_fixtures(self, fixture_tables):
+        for t in fixture_tables:
+            self.assert_int_coefficients(t)
+
+
 class TestBuildSymmetric:
     def test_trivial(self):
         t = build_symmetric(1)

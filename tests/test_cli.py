@@ -182,6 +182,14 @@ def _float_conductor(doc):
     doc["characters"][1]["values"][3]["conductor"] = 5.0
 
 
+def _set_coefficient(pair):
+    return lambda doc: doc["characters"][1]["values"][3]["coeffs"].__setitem__(0, pair)
+
+
+def _set_order(value):
+    return lambda doc: doc.update(order=value)
+
+
 MALFORMED = {
     "solvable-string": _set_metadata("solvable", "yes"),
     "simple-int": _set_metadata("simple", 1),
@@ -195,6 +203,13 @@ MALFORMED = {
     "label-bools": _set_label([True]),
     "value-zero-denominator": _zero_denominator,
     "value-float-conductor": _float_conductor,
+    "coefficient-float-denominator": _set_coefficient([1, 1.0]),
+    "coefficient-float-numerator": _set_coefficient([1.0, 1]),
+    "coefficient-zero-denominator": _set_coefficient([1, 0]),
+    "coefficient-string-numerator": _set_coefficient(["1", 1]),
+    "coefficient-three-elements": _set_coefficient([1, 1, 1]),
+    "order-zero": _set_order(0),
+    "order-negative": _set_order(-60),
 }
 
 
@@ -261,6 +276,26 @@ class TestOutputPathErrors:
         blocker.write_text("")
         assert main(["graphs", str(path), "--out", str(blocker / "graphs"), "--dot"]) == 2
         self._assert_clean_error(capsys)
+
+
+class TestVerifyAnalysisError:
+    def test_other_rows_survive_a_table_over_the_graph_cap(self, tmp_path, capsys):
+        # Gamma_v of S7 x D24 has 127 vertices, above the exact solver's cap
+        s7, d24, prod = tmp_path / "s7.json", tmp_path / "d24.json", tmp_path / "s7xd24.json"
+        assert main(["gen", "sym", "7", "-o", str(s7)]) == 0
+        assert main(["gen", "dihedral", "12", "-o", str(d24)]) == 0
+        assert main(["gen", "product", str(s7), str(d24), "-o", str(prod)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(s7), str(d24), str(prod)]) == 2
+        out, err = capsys.readouterr()
+        assert out.splitlines() == [
+            "file,group,flags",
+            f"{d24},D24,",
+            f"{s7},S7,",
+            f"{prod},S7xD24,analysis-error",
+        ]
+        assert err.startswith(f"error: {prod}: GraphTooLargeError: ") and len(err.splitlines()) == 1
+        assert "127 vertices" in err
 
 
 class TestUnexpectedErrors:

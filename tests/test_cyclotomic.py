@@ -164,6 +164,146 @@ class TestScalarProduct:
                 assert (got.conductor, got.coeffs) == (expect.conductor, expect.coeffs)
 
 
+# ---------------------------------------------------------------------------
+# Oracle: a value is (n, phi(n) Fractions); every product is a plain
+# polynomial product reduced mod cyclotomic_polynomial(n) by long division.
+
+
+def oracle_reduce(n, poly):
+    mod = cyclotomic_polynomial(n)
+    d = len(mod) - 1
+    poly = [Fraction(c) for c in poly] + [Fraction(0)] * d
+    for i in range(len(poly) - 1, d - 1, -1):
+        c = poly[i]
+        if c:
+            for j, m in enumerate(mod):
+                poly[i - d + j] -= c * m
+    return n, tuple(poly[:d])
+
+
+def oracle(v):
+    return v.conductor, tuple(Fraction(c) for c in v.coeffs)
+
+
+def oracle_embed(a, target):
+    n, vec = a
+    poly = [0] * target
+    for e, c in enumerate(vec):
+        poly[e * (target // n)] += c
+    return oracle_reduce(target, poly)
+
+
+def oracle_common(a, b):
+    n = math.lcm(a[0], b[0])
+    return n, oracle_embed(a, n)[1], oracle_embed(b, n)[1]
+
+
+def oracle_add(a, b):
+    n, x, y = oracle_common(a, b)
+    return n, tuple(p + q for p, q in zip(x, y))
+
+
+def oracle_mul(a, b):
+    n, x, y = oracle_common(a, b)
+    poly = [0] * (2 * len(x) - 1)
+    for i, p in enumerate(x):
+        for j, q in enumerate(y):
+            poly[i + j] += p * q
+    return oracle_reduce(n, poly)
+
+
+def oracle_conj(a):
+    n, vec = a
+    poly = [0] * n
+    for e, c in enumerate(vec):
+        poly[-e % n] += c
+    return oracle_reduce(n, poly)
+
+
+def assert_matches(got, want):
+    """got equals the oracle value, at the same conductor, and keeps every
+    integral coefficient as an int."""
+    assert (got.conductor, got.coeffs) == want
+    assert all(type(c) is int for c in got.coeffs if c == int(c)), got.coeffs
+
+
+coefficients = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=4),
+)
+
+
+def values_at(conductors):
+    @st.composite
+    def draw_value(draw):
+        n = draw(conductors)
+        phi = euler_phi(n)
+        return Cyclotomic(n, draw(st.lists(coefficients, min_size=phi, max_size=phi)))
+
+    return draw_value()
+
+
+@st.composite
+def related_values(draw, count):
+    # operands whose conductors divide one N <= 64, so the lcm stays small
+    n = draw(st.integers(min_value=1, max_value=64))
+    divisors = st.sampled_from([d for d in range(1, n + 1) if n % d == 0])
+    return n, [draw(values_at(divisors)) for _ in range(count)]
+
+
+class TestFractionOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(related_values(2))
+    def test_ring_operations(self, drawn):
+        n, (a, b) = drawn
+        oa, ob = oracle(a), oracle(b)
+        assert_matches(a + b, oracle_add(oa, ob))
+        assert_matches(a - b, oracle_add(oa, oracle_mul((1, (Fraction(-1),)), ob)))
+        assert_matches(-a, (oa[0], tuple(-c for c in oa[1])))
+        assert_matches(a * b, oracle_mul(oa, ob))
+        assert_matches(a.conj(), oracle_conj(oa))
+        assert_matches(a.embed(n), oracle_embed(oa, n))
+        _, x, y = oracle_common(oa, ob)
+        assert (a == b) == (x == y)
+        assert a == a.embed(n) and (a + b) - b == a
+
+    @settings(max_examples=25, deadline=None)
+    @given(values_at(st.integers(min_value=1, max_value=64)), st.integers(min_value=0, max_value=4))
+    def test_powers(self, a, k):
+        want = (1, (Fraction(1),))
+        for _ in range(k):
+            want = oracle_mul(want, oracle(a))
+        assert_matches(a**k, want)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=64),
+        st.fractions(min_value=-6, max_value=6, max_denominator=6),
+        st.integers(min_value=-6, max_value=6),
+        st.data(),
+    )
+    def test_mixed_scalars(self, n, q, k, data):
+        # a Fraction scalar times an int vector, an int scalar times a Fraction one
+        phi = euler_phi(n)
+        ints = Cyclotomic(n, data.draw(st.lists(st.integers(-6, 6), min_size=phi, max_size=phi)))
+        halves = Cyclotomic(n, [Fraction(c, 2) for c in ints.coeffs])
+        for scalar, v in ((q, ints), (k, halves), (Fraction(2), halves)):
+            want = oracle_mul((1, (Fraction(scalar),)), oracle(v))
+            for got in (scalar * v, v * scalar, Cyclotomic.from_rational(scalar) * v):
+                assert_matches(got, want)
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_halves_sum_to_ints(self, n):
+        phi = euler_phi(n)
+        half = Cyclotomic(n, [Fraction(1, 2)] * phi)
+        odd = Cyclotomic(n, [Fraction(2 * e + 1, 2) for e in range(phi)])
+        assert_matches(half + half, (n, (Fraction(1),) * phi))
+        assert_matches(half + odd, oracle_add(oracle(half), oracle(odd)))
+        assert_matches(Cyclotomic.from_rational(Fraction(1, 2)) + Fraction(1, 2), (1, (1,)))
+        assert type((half * 2).coeffs[0]) is int and (half - half).is_zero()
+        assert (half + half).is_algebraic_integer() and not half.is_algebraic_integer()
+
+
 class TestJson:
     def test_integer_shorthand(self):
         assert cyc_to_json(Cyclotomic.from_rational(7)) == 7
