@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -502,6 +503,10 @@ def table_from_json(data: dict) -> CharacterTable:
         except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
             raise SchemaError(f"character {i} has a malformed value: {exc}") from exc
         characters.append(Character(name=_require(rc, "name", str, f"character {i}"), values=values))
+    for kind, items in (("class", classes), ("character", characters)):
+        dups = sorted(name for name, k in Counter(x.name for x in items).items() if k > 1)
+        if dups:
+            raise SchemaError(f"duplicate {kind} names: {dups}")
 
     raw_meta = data.get("metadata", {})
     if not isinstance(raw_meta, dict):

@@ -282,6 +282,43 @@ def _collect_paths(paths) -> list[Path]:
     return sorted(set(files))
 
 
+def _table_rows(files, row, error_row) -> tuple[list[dict], bool]:
+    """row(file, analysis) per file, or error_row(file, table or None, flag)
+    with one `error: <file>: <Type>: <message>` line when the table fails to
+    load or validate ("load-error") or its row raises ("analysis-error").
+    Returns the rows and whether any table failed."""
+    rows, failed = [], False
+    for f in files:
+        table = None
+        try:
+            a = _load(f)
+            table = a.table
+            rows.append(row(f, a))
+        except Exception as exc:  # one table's failure must not hide the other rows
+            print(f"error: {f}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            rows.append(error_row(f, table, "load-error" if table is None else "analysis-error"))
+            failed = True
+    return rows, failed
+
+
+def _report_row(f, a: TableAnalysis) -> dict:
+    t = a.table
+    return {
+        "group": t.group_name,
+        "order": t.order,
+        "n_classes": len(t.classes),
+        "n_nonlinear": a.pattern.n_rows,
+        "k_min": a.cover.k_min,
+        "witness_names": ";".join(t.classes[c].name for c in a.cover.witness),
+        "flags": ";".join(a.flags(ALL_CHECKS)),
+    }
+
+
+def _report_error_row(f, t: CharacterTable | None, flag: str) -> dict:
+    row = dict.fromkeys(("group", "order", "n_classes", "n_nonlinear", "k_min", "witness_names"))
+    return {**row, "group": t.group_name if t else "", "flags": flag}
+
+
 def _cmd_verify(args) -> int:
     checks = ALL_CHECKS if args.checks == "all" else tuple(args.checks.split(","))
     unknown = set(checks) - set(ALL_CHECKS)
@@ -290,23 +327,11 @@ def _cmd_verify(args) -> int:
     files = _collect_paths(args.paths)
     if not files:
         return _err("no input files")
-    rows = []
-    had_error = False
-    for f in files:
-        try:
-            a = _load(f)
-        except (SchemaError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            rows.append({"file": str(f), "group": "", "flags": ["load-error"]})
-            had_error = True
-            continue
-        try:
-            flags = a.flags(checks)
-        except Exception as exc:  # one table's failure must not hide the other rows
-            print(f"error: {f}: {type(exc).__name__}: {exc}", file=sys.stderr)
-            flags = ["analysis-error"]
-            had_error = True
-        rows.append({"file": str(f), "group": a.table.group_name, "flags": flags})
+    rows, had_error = _table_rows(
+        files,
+        lambda f, a: {"file": str(f), "group": a.table.group_name, "flags": a.flags(checks)},
+        lambda f, t, flag: {"file": str(f), "group": t.group_name if t else "", "flags": [flag]},
+    )
 
     if args.format == "json":
         print(json.dumps({"checks": list(checks), "tables": rows}, indent=1))
@@ -326,24 +351,7 @@ def _cmd_report(args) -> int:
     files = _collect_paths([args.dir])
     if not files:
         return _err(f"no tables found in {args.dir}")
-    rows = []
-    for f in files:
-        try:
-            a = _load(f)
-            t = a.table
-            rows.append(
-                {
-                    "group": t.group_name,
-                    "order": t.order,
-                    "n_classes": len(t.classes),
-                    "n_nonlinear": a.pattern.n_rows,
-                    "k_min": a.cover.k_min,
-                    "witness_names": ";".join(t.classes[c].name for c in a.cover.witness),
-                    "flags": ";".join(a.flags(ALL_CHECKS)),
-                }
-            )
-        except (SchemaError, OSError, NoCoverError) as exc:
-            return _err(str(exc))
+    rows, had_error = _table_rows(files, _report_row, _report_error_row)
     out = Path(args.output)
     if out.suffix == ".json":
         text = json.dumps(rows, indent=1) + "\n"
@@ -357,6 +365,8 @@ def _cmd_report(args) -> int:
         out.write_text(text)
     except OSError as exc:
         return _err(str(exc))
+    if had_error:
+        return 2
     return 1 if any(r["flags"] for r in rows) else 0
 
 

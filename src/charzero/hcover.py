@@ -1,9 +1,9 @@
 """Minimum class covers: the exact optimization behind the H_k property.
 
-Each nonlinear character is the set of classes it vanishes on; a cover is a
-hitting set.  The solver is exact branch-and-bound with a greedy upper bound
-and a pairwise-disjoint-rows lower bound, with deterministic tie-breaking so
-witnesses are reproducible.
+Each nonlinear character is the row mask of the classes it vanishes on; a
+cover is a hitting set.  The solver is exact branch-and-bound with a greedy
+upper bound and a pairwise-disjoint-rows lower bound, with deterministic
+tie-breaking so witnesses are reproducible.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chartable import CharacterTable
-from .vanishing import ZeroPattern, zero_pattern
+from .vanishing import ZeroPattern, bits, zero_pattern
 
 __all__ = [
     "CoverResult",
@@ -36,55 +36,44 @@ class CoverResult:
     proof_lb: int
 
 
-def _rows_as_sets(p: ZeroPattern) -> list[frozenset[int]]:
-    return [frozenset(c for c in range(p.n_cols) if row[c]) for row in p.zeros]
-
-
-def _greedy_cover(rows: list[frozenset[int]], n_cols: int) -> list[int]:
+def _greedy_cover(p: ZeroPattern) -> list[int]:
     chosen: list[int] = []
-    left = list(rows)
+    left = (1 << p.n_rows) - 1  # the rows not yet hit
     while left:
-        counts = [0] * n_cols
-        for r in left:
-            for c in r:
-                counts[c] += 1
-        best = max(range(n_cols), key=lambda c: (counts[c], -c))
+        best = max(range(p.n_cols), key=lambda c: ((p.cols[c] & left).bit_count(), -c))
         chosen.append(best)
-        left = [r for r in left if best not in r]
+        left &= ~p.cols[best]
     return chosen
 
 
-def _disjoint_lower_bound(rows: list[frozenset[int]]) -> int:
-    # A family of pairwise-disjoint rows needs one class each.
-    picked: list[frozenset[int]] = []
-    used: set[int] = set()
-    for r in sorted(rows, key=lambda s: (len(s), sorted(s))):
-        if used.isdisjoint(r):
-            picked.append(r)
+def _disjoint_lower_bound(rows: list[int]) -> int:
+    # A family of pairwise-disjoint rows needs one class each; rows come
+    # sorted by (popcount, bit list), the order the greedy packing takes.
+    picked = used = 0
+    for r in rows:
+        if not r & used:
+            picked += 1
             used |= r
-    return len(picked)
+    return picked
 
 
 def min_cover(p: ZeroPattern) -> CoverResult:
     """Exact minimum set of classes hitting every nonlinear character's zero
     set, with a certified-optimal witness."""
-    rows = _rows_as_sets(p)
-    if not rows:
+    if not p.rows:
         return CoverResult(0, (), 0, 0)
-    if any(not r for r in rows):
+    if not all(p.rows):
         raise NoCoverError(f"a nonlinear character of {p.table_ref} never vanishes")
 
-    n_cols = p.n_cols
-    best = _greedy_cover(rows, n_cols)
+    # Every filtered list keeps this order, so the row with fewest options
+    # is always the first.
+    rows = sorted(p.rows, key=lambda r: (r.bit_count(), bits(r)))
+    best = _greedy_cover(p)
     root_lb = _disjoint_lower_bound(rows)
     nodes = 0
+    coverage = [col.bit_count() for col in p.cols]
 
-    coverage = [0] * n_cols
-    for r in rows:
-        for c in r:
-            coverage[c] += 1
-
-    def branch(left: list[frozenset[int]], chosen: list[int]):
+    def branch(left: list[int], chosen: list[int]):
         nonlocal best, nodes
         nodes += 1
         if not left:
@@ -94,9 +83,9 @@ def min_cover(p: ZeroPattern) -> CoverResult:
         if len(chosen) + _disjoint_lower_bound(left) >= len(best):
             return
         # branch on the row with fewest options, columns by coverage count
-        row = min(left, key=lambda r: (len(r), sorted(r)))
-        for c in sorted(row, key=lambda c: (-coverage[c], c)):
-            branch([r for r in left if c not in r], chosen + [c])
+        for c in sorted(bits(left[0]), key=lambda c: (-coverage[c], c)):
+            bit = 1 << c
+            branch([r for r in left if not r & bit], chosen + [c])
 
     branch(rows, [])
     return CoverResult(len(best), tuple(sorted(best)), nodes, root_lb)
@@ -105,12 +94,8 @@ def min_cover(p: ZeroPattern) -> CoverResult:
 def check_cover(p: ZeroPattern, cover) -> tuple[bool, list[int]]:
     """True iff every nonlinear character vanishes on some class in `cover`;
     also returns the character indices left uncovered."""
-    cols = set(cover)
-    uncovered = [
-        p.nonlinear_idx[r]
-        for r, row in enumerate(p.zeros)
-        if not any(row[c] for c in cols)
-    ]
+    mask = sum(1 << c for c in set(cover))
+    uncovered = [p.nonlinear_idx[r] for r, row in enumerate(p.rows) if not row & mask]
     return (not uncovered, uncovered)
 
 

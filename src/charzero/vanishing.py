@@ -1,13 +1,18 @@
 """Zero-pattern extraction and element-level classifications.
 
-The ZeroPattern is the boolean incidence matrix (nonlinear characters x all
-classes, entry true iff the exact character value is zero) that everything
-downstream -- covers, graphs, Camina/central-type detection -- works from.
+The ZeroPattern is the incidence of zeros (nonlinear characters x all
+classes) that everything downstream -- covers, graphs, Camina/central-type
+detection -- works from.  Each nonlinear character is one int row mask: bit
+c is set iff its exact value on class c is zero.  `cols` holds the
+transposed masks, bit r of column c set iff row r vanishes on class c.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, reduce
+from itertools import compress
+from operator import and_, or_
 
 from .chartable import CharacterTable
 
@@ -30,36 +35,53 @@ class DataIntegrityError(RuntimeError):
     """A theorem-level equivalence failed on supposedly validated data."""
 
 
+def bits(mask: int) -> list[int]:
+    """The indices of the set bits of a nonnegative mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 @dataclass(frozen=True)
 class ZeroPattern:
     table_ref: str
     nonlinear_idx: tuple[int, ...]
-    class_idx: tuple[int, ...]
     class_sizes: tuple[int, ...]
-    zeros: tuple[tuple[bool, ...], ...]  # rows: nonlinear chars, cols: classes
+    rows: tuple[int, ...]  # one mask per nonlinear character, bit c = zero at class c
     row_names: tuple[str, ...]
     col_names: tuple[str, ...]
 
     @property
     def n_rows(self) -> int:
-        return len(self.nonlinear_idx)
+        return len(self.rows)
 
     @property
     def n_cols(self) -> int:
-        return len(self.class_idx)
+        return len(self.class_sizes)
+
+    @cached_property
+    def cols(self) -> tuple[int, ...]:
+        """One mask per class: bit r is set iff row r vanishes there."""
+        cols = [0] * self.n_cols
+        for r, row in enumerate(self.rows):
+            for c in bits(row):
+                cols[c] |= 1 << r
+        return tuple(cols)
 
 
 def zero_pattern(t: CharacterTable) -> ZeroPattern:
     nonlin = tuple(t.nonlinear_indices())
-    zeros = tuple(
-        tuple(v.is_zero() for v in t.characters[r].values) for r in nonlin
-    )
+    powers = [1 << c for c in range(len(t.classes))]
     return ZeroPattern(
         table_ref=t.group_name,
         nonlinear_idx=nonlin,
-        class_idx=tuple(range(len(t.classes))),
         class_sizes=tuple(c.size for c in t.classes),
-        zeros=zeros,
+        rows=tuple(
+            sum(compress(powers, [v.is_zero() for v in t.characters[r].values])) for r in nonlin
+        ),
         row_names=tuple(t.characters[r].name for r in nonlin),
         col_names=tuple(c.name for c in t.classes),
     )
@@ -67,22 +89,19 @@ def zero_pattern(t: CharacterTable) -> ZeroPattern:
 
 def vanishing_classes(p: ZeroPattern) -> set[int]:
     """Classes on which at least one nonlinear character vanishes."""
-    return {c for c in range(p.n_cols) if any(row[c] for row in p.zeros)}
+    return set(bits(reduce(or_, p.rows, 0)))
 
 
 def nonvanishing_classes(p: ZeroPattern) -> set[int]:
-    """Non-central classes (size > 1) with an all-false column."""
-    return {
-        c
-        for c in range(p.n_cols)
-        if p.class_sizes[c] > 1 and not any(row[c] for row in p.zeros)
-    }
+    """Non-central classes (size > 1) on which no nonlinear character vanishes."""
+    noncentral = sum(1 << c for c, size in enumerate(p.class_sizes) if size > 1)
+    return set(bits(noncentral & ~reduce(or_, p.rows, 0)))
 
 
 def burnside_check(p: ZeroPattern) -> tuple[bool, list[int]]:
     """Every nonlinear character must vanish somewhere (Burnside); returns
     (ok, character indices of violating rows)."""
-    violations = [p.nonlinear_idx[r] for r, row in enumerate(p.zeros) if not any(row)]
+    violations = [p.nonlinear_idx[r] for r, row in enumerate(p.rows) if not row]
     return (not violations, violations)
 
 
@@ -102,12 +121,8 @@ def is_prime_power(n: int) -> bool:
 def prime_power_check(t: CharacterTable, p: ZeroPattern) -> tuple[bool, list[int]]:
     """Every nonlinear character must vanish on some class of prime-power
     element order (the MNO property)."""
-    pp_cols = [c for c in range(p.n_cols) if is_prime_power(t.classes[c].element_order)]
-    violations = [
-        p.nonlinear_idx[r]
-        for r, row in enumerate(p.zeros)
-        if not any(row[c] for c in pp_cols)
-    ]
+    pp = sum(1 << c for c in range(p.n_cols) if is_prime_power(t.classes[c].element_order))
+    violations = [p.nonlinear_idx[r] for r, row in enumerate(p.rows) if not row & pp]
     return (not violations, violations)
 
 
@@ -117,9 +132,7 @@ def camina_classes(t: CharacterTable, p: ZeroPattern) -> set[int]:
     asserted against the column test; disagreement means corrupt data."""
     if p.n_rows == 0:
         return set()
-    by_column = {
-        c for c in range(p.n_cols) if all(row[c] for row in p.zeros)
-    }
+    by_column = set(bits(reduce(and_, p.rows)))
     derived = t.derived_order
     by_size = {c for c in range(p.n_cols) if t.classes[c].size == derived}
     if by_column != by_size:
@@ -132,17 +145,13 @@ def camina_classes(t: CharacterTable, p: ZeroPattern) -> set[int]:
 
 def central_type_characters(t: CharacterTable, p: ZeroPattern) -> set[int]:
     """Nonlinear characters vanishing on every non-central class."""
-    noncentral = [c for c in range(p.n_cols) if p.class_sizes[c] > 1]
-    return {
-        p.nonlinear_idx[r]
-        for r, row in enumerate(p.zeros)
-        if all(row[c] for c in noncentral)
-    }
+    noncentral = sum(1 << c for c, size in enumerate(p.class_sizes) if size > 1)
+    return {p.nonlinear_idx[r] for r, row in enumerate(p.rows) if row & noncentral == noncentral}
 
 
 def pattern_to_json(p: ZeroPattern) -> dict:
     return {
         "rows": list(p.row_names),
         "cols": list(p.col_names),
-        "zeros": [[1 if z else 0 for z in row] for row in p.zeros],
+        "zeros": [[row >> c & 1 for c in range(p.n_cols)] for row in p.rows],
     }

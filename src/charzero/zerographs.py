@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chartable import CharacterTable
-from .vanishing import ZeroPattern
+from .vanishing import ZeroPattern, bits
 
 __all__ = [
     "SimpleGraph",
@@ -38,16 +38,20 @@ class GraphTooLargeError(RuntimeError):
 @dataclass(frozen=True)
 class SimpleGraph:
     vertices: tuple[str, ...]
-    adjacency: tuple[tuple[bool, ...], ...]  # symmetric, loop-free
+    adjacency: tuple[int, ...]  # neighbour masks: bit j of adjacency[i] iff i -- j
 
     def __post_init__(self):
         n = len(self.vertices)
-        for i in range(n):
-            if self.adjacency[i][i]:
+        for i, nbrs in enumerate(self.adjacency):
+            if nbrs >> n:
+                raise ValueError("adjacency has a bit beyond the last vertex")
+            if nbrs >> i & 1:
                 raise ValueError("no loops allowed")
-            for j in range(i):
-                if self.adjacency[i][j] != self.adjacency[j][i]:
-                    raise ValueError("adjacency must be symmetric")
+        # character j of rows[i] is bit j of adjacency[i]; the matrix is
+        # symmetric iff its columns read the same as its rows
+        rows = [format(nbrs, f"0{n}b")[::-1] for nbrs in self.adjacency]
+        if len(rows) != n or ["".join(col) for col in zip(*rows)] != rows:
+            raise ValueError("adjacency must be symmetric, one mask per vertex")
 
 
 @dataclass(frozen=True)
@@ -57,62 +61,57 @@ class BipartiteGraph:
     edges: tuple[tuple[bool, ...], ...]  # left x right
 
 
-def _simple_graph(labels, adjacency) -> SimpleGraph:
-    return SimpleGraph(tuple(labels), tuple(tuple(row) for row in adjacency))
+def _common_zero_graph(names, masks, transposed) -> SimpleGraph:
+    """Vertex i -- j iff masks[i] & masks[j]; transposed[b] holds the
+    vertices whose mask has bit b."""
+    adjacency = []
+    for i, mask in enumerate(masks):
+        nbrs = 0
+        for b in bits(mask):
+            nbrs |= transposed[b]
+        adjacency.append(nbrs & ~(1 << i))
+    return SimpleGraph(tuple(names), tuple(adjacency))
 
 
 def gamma_v(p: ZeroPattern) -> SimpleGraph:
     """Vertices: nonlinear characters; edge iff the two rows share a zero class."""
-    rows = [frozenset(c for c in range(p.n_cols) if row[c]) for row in p.zeros]
-    n = len(rows)
-    adj = [[i != j and not rows[i].isdisjoint(rows[j]) for j in range(n)] for i in range(n)]
-    return _simple_graph(p.row_names, adj)
+    return _common_zero_graph(p.row_names, p.rows, p.cols)
 
 
 def delta_v(p: ZeroPattern) -> SimpleGraph:
     """Vertices: vanishing classes; edge iff some character vanishes on both."""
-    cols = sorted(c for c in range(p.n_cols) if any(row[c] for row in p.zeros))
-    colsets = [frozenset(r for r, row in enumerate(p.zeros) if row[c]) for c in cols]
-    n = len(cols)
-    adj = [
-        [i != j and not colsets[i].isdisjoint(colsets[j]) for j in range(n)]
-        for i in range(n)
-    ]
-    return _simple_graph((p.col_names[c] for c in cols), adj)
+    cols = [c for c, col in enumerate(p.cols) if col]
+    vertex = {c: v for v, c in enumerate(cols)}
+    rows = [sum(1 << vertex[c] for c in bits(row)) for row in p.rows]
+    return _common_zero_graph([p.col_names[c] for c in cols], [p.cols[c] for c in cols], rows)
 
 
 def theta(t: CharacterTable, p: ZeroPattern) -> BipartiteGraph:
     """Bipartite graph: nonlinear characters vs non-central classes, edges at
     zeros.  Isolated right vertices (non-vanishing classes) are kept."""
     right_cols = [c for c in range(p.n_cols) if p.class_sizes[c] > 1]
-    edges = tuple(tuple(row[c] for c in right_cols) for row in p.zeros)
     return BipartiteGraph(
         left=p.row_names,
         right=tuple(p.col_names[c] for c in right_cols),
-        edges=edges,
+        edges=tuple(tuple(row >> c & 1 == 1 for c in right_cols) for row in p.rows),
     )
 
 
 def components(g: SimpleGraph) -> list[list[int]]:
     """Connected components as sorted vertex-index lists, ordered by their
     smallest vertex."""
-    n = len(g.vertices)
-    seen = [False] * n
     comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in range(n):
-                if g.adjacency[v][w] and not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(sorted(comp))
+    unseen = (1 << len(g.vertices)) - 1
+    while unseen:
+        comp = frontier = unseen & -unseen
+        while frontier:
+            reached = 0
+            for v in bits(frontier):
+                reached |= g.adjacency[v]
+            frontier = reached & ~comp
+            comp |= frontier
+        unseen &= ~comp
+        comps.append(bits(comp))
     return comps
 
 
@@ -128,14 +127,8 @@ def independence_number(
         return 0, ()
 
     full = (1 << n) - 1
-    # complement-graph neighborhoods as bitmasks
-    comp = []
-    for i in range(n):
-        mask = 0
-        for j in range(n):
-            if i != j and not g.adjacency[i][j]:
-                mask |= 1 << j
-        comp.append(mask)
+    # complement-graph neighbourhoods
+    comp = [full & ~nbrs & ~(1 << i) for i, nbrs in enumerate(g.adjacency)]
 
     best_size = 0
 
@@ -227,37 +220,33 @@ def bound_checks(t: CharacterTable, p: ZeroPattern) -> list[str]:
     return [name for name, holds in BOUND_FLAGS if holds(m, alpha, ncomp)]
 
 
-def to_dot(g: SimpleGraph, name: str, annotations: dict[str, str] | None = None) -> str:
-    """DOT text with deterministic vertex ordering (table order)."""
+def _quote(name: str) -> str:
+    """A DOT quoted string: backslash and double quote escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _dot(name: str, vertices, edges, annotations: dict[str, str] | None) -> str:
+    """DOT text; edges are index pairs into vertices."""
+    quoted = [_quote(v) for v in vertices]
     lines = [f"graph {name} {{"]
-    for v in g.vertices:
+    for v, q in zip(vertices, quoted):
         note = annotations.get(v) if annotations else None
-        if note:
-            lines.append(f'  "{v}" [label="{v} {note}"];')
-        else:
-            lines.append(f'  "{v}";')
-    n = len(g.vertices)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if g.adjacency[i][j]:
-                lines.append(f'  "{g.vertices[i]}" -- "{g.vertices[j]}";')
+        label = f" [label={_quote(f'{v} {note}')}]" if note else ""
+        lines.append(f"  {q}{label};")
+    lines += [f"  {quoted[a]} -- {quoted[b]};" for a, b in edges]
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def to_dot(g: SimpleGraph, name: str, annotations: dict[str, str] | None = None) -> str:
+    """DOT text with deterministic vertex ordering (table order)."""
+    edges = [(i, i + 1 + j) for i, nbrs in enumerate(g.adjacency) for j in bits(nbrs >> i + 1)]
+    return _dot(name, g.vertices, edges, annotations)
 
 
 def bipartite_to_dot(
     g: BipartiteGraph, name: str, annotations: dict[str, str] | None = None
 ) -> str:
-    lines = [f"graph {name} {{"]
-    for v in list(g.left) + list(g.right):
-        note = annotations.get(v) if annotations else None
-        if note:
-            lines.append(f'  "{v}" [label="{v} {note}"];')
-        else:
-            lines.append(f'  "{v}";')
-    for i, l in enumerate(g.left):
-        for j, r in enumerate(g.right):
-            if g.edges[i][j]:
-                lines.append(f'  "{l}" -- "{r}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    n = len(g.left)
+    edges = [(i, n + j) for i, row in enumerate(g.edges) for j, e in enumerate(row) if e]
+    return _dot(name, g.left + g.right, edges, annotations)

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 import time
 
@@ -190,6 +191,10 @@ def _set_order(value):
     return lambda doc: doc.update(order=value)
 
 
+def _duplicate_name(key):
+    return lambda doc: doc[key][2].update(name=doc[key][1]["name"])
+
+
 MALFORMED = {
     "solvable-string": _set_metadata("solvable", "yes"),
     "simple-int": _set_metadata("simple", 1),
@@ -210,6 +215,8 @@ MALFORMED = {
     "coefficient-three-elements": _set_coefficient([1, 1, 1]),
     "order-zero": _set_order(0),
     "order-negative": _set_order(-60),
+    "duplicate-character-name": _duplicate_name("characters"),
+    "duplicate-class-name": _duplicate_name("classes"),
 }
 
 
@@ -278,13 +285,19 @@ class TestOutputPathErrors:
         self._assert_clean_error(capsys)
 
 
+def gen_s7_d24_product(root):
+    """S7, D24 and S7 x D24 under root; Gamma_v of the product has 127
+    vertices, above the exact solver's cap."""
+    s7, d24, prod = root / "s7.json", root / "d24.json", root / "s7xd24.json"
+    assert main(["gen", "sym", "7", "-o", str(s7)]) == 0
+    assert main(["gen", "dihedral", "12", "-o", str(d24)]) == 0
+    assert main(["gen", "product", str(s7), str(d24), "-o", str(prod)]) == 0
+    return s7, d24, prod
+
+
 class TestVerifyAnalysisError:
     def test_other_rows_survive_a_table_over_the_graph_cap(self, tmp_path, capsys):
-        # Gamma_v of S7 x D24 has 127 vertices, above the exact solver's cap
-        s7, d24, prod = tmp_path / "s7.json", tmp_path / "d24.json", tmp_path / "s7xd24.json"
-        assert main(["gen", "sym", "7", "-o", str(s7)]) == 0
-        assert main(["gen", "dihedral", "12", "-o", str(d24)]) == 0
-        assert main(["gen", "product", str(s7), str(d24), "-o", str(prod)]) == 0
+        s7, d24, prod = gen_s7_d24_product(tmp_path)
         capsys.readouterr()
         assert main(["verify", str(s7), str(d24), str(prod)]) == 2
         out, err = capsys.readouterr()
@@ -296,6 +309,46 @@ class TestVerifyAnalysisError:
         ]
         assert err.startswith(f"error: {prod}: GraphTooLargeError: ") and len(err.splitlines()) == 1
         assert "127 vertices" in err
+
+
+class TestReportErrors:
+    def test_other_rows_survive_a_load_and_an_analysis_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        s7, d24, prod = gen_s7_d24_product(corpus)
+        bad = corpus / "bad.json"
+        bad.write_text("{")
+        out = tmp_path / "report.csv"
+        capsys.readouterr()
+        assert main(["report", str(corpus), "-o", str(out)]) == 2
+        lines = out.read_text().splitlines()
+        assert lines[0] == "group,order,n_classes,n_nonlinear,k_min,witness_names,flags"
+        assert lines[1] == ",,,,,,load-error"
+        assert lines[2].startswith("D24,24,9,") and lines[2].endswith(",")
+        assert lines[3].startswith("S7,5040,15,") and lines[3].endswith(",")
+        assert lines[4] == "S7xD24,,,,,,analysis-error"
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert err[0].startswith(f"error: {bad}: SchemaError: ")
+        assert err[1].startswith(f"error: {prod}: GraphTooLargeError: ")
+        assert "127 vertices" in err[1]
+
+
+class TestDotEscaping:
+    def test_quotes_and_backslashes_in_names(self, tmp_path):
+        doc = json.loads((FIXTURE_DIR / "a5.json").read_text())
+        doc["characters"][1]["name"] = 'chi"3'
+        doc["classes"][2]["name"] = "3a\\"
+        path = tmp_path / "a5.json"
+        path.write_text(json.dumps(doc))
+        assert main(["graphs", str(path), "--out", str(tmp_path / "g"), "--dot"]) == 0
+        names = set()
+        for dot in ("gamma_v.dot", "delta_v.dot", "theta.dot"):
+            for line in (tmp_path / "g" / dot).read_text().splitlines():
+                assert re.sub(r"\\.", "", line).count('"') % 2 == 0, line
+                quoted = re.findall(r'"((?:[^"\\]|\\.)*)"', line)
+                names.update(re.sub(r"\\(.)", r"\1", q) for q in quoted)
+        assert {'chi"3', "3a\\", 'chi"3 deg=3', "3a\\ ord=3"} <= names
 
 
 class TestUnexpectedErrors:

@@ -8,8 +8,9 @@ components bound), S4 with r(G) = 1 (the r bound) and S4 with Fitting
 height 1 (the Fitting-height bound).
 
 Each file under tests/golden/ is a run of sections ``# <command> -> exit
-<code>`` followed by the exact bytes the command printed or wrote.  To
-rewrite them from the current code:
+<code>`` followed by the exact bytes the command printed or wrote.  The
+``graphs_*`` files hold, per table, what ``graphs <file> --out ... --dot``
+wrote to the file of that name.  To rewrite them from the current code:
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -100,7 +101,20 @@ def outputs(files: list[str]) -> dict[str, str]:
         "analyze.json": per_table("analyze", "--format", "json"),
         "cover.json": per_table("cover"),
         "conjecture_report.json": report,
+        **graphs_outputs(files),
     }
+
+
+def graphs_outputs(files: list[str]) -> dict[str, str]:
+    """The four files `graphs --dot` writes, each golden file one section per
+    table."""
+    names = ("pattern.json", "gamma_v.dot", "delta_v.dot", "theta.dot")
+    sections = {name: "" for name in names}
+    for f in files:
+        head = run(["graphs", f, "--out", "out/graphs", "--dot"])
+        for name in names:
+            sections[name] += head + Path("out/graphs", name).read_bytes().decode()
+    return {f"graphs_{name}": text for name, text in sections.items()}
 
 
 @pytest.fixture(scope="module")

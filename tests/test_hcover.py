@@ -12,7 +12,7 @@ from charzero.hcover import (
     min_cover,
     pair_cover_product,
 )
-from charzero.vanishing import ZeroPattern, zero_pattern
+from charzero.vanishing import ZeroPattern, pattern_to_json, zero_pattern
 
 
 def brute_force_k_min(zeros):
@@ -34,9 +34,8 @@ def make_pattern(zeros):
     return ZeroPattern(
         table_ref="synthetic",
         nonlinear_idx=tuple(range(len(zeros))),
-        class_idx=tuple(range(n_cols)),
         class_sizes=(2,) * n_cols,
-        zeros=tuple(tuple(row) for row in zeros),
+        rows=tuple(sum(1 << c for c, z in enumerate(row) if z) for row in zeros),
         row_names=tuple(f"r{i}" for i in range(len(zeros))),
         col_names=tuple(f"c{j}" for j in range(n_cols)),
     )
@@ -91,7 +90,7 @@ class TestMinCover:
         for t in corpus:
             p = zero_pattern(t)
             if p.n_cols <= 14 and p.n_rows:
-                assert min_cover(p).k_min == brute_force_k_min(p.zeros)
+                assert min_cover(p).k_min == brute_force_k_min(pattern_to_json(p)["zeros"])
 
     def test_monotonicity(self):
         rng = random.Random(99)

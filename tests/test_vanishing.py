@@ -18,9 +18,9 @@ from charzero.vanishing import (
 
 
 def flip(pattern, r, c):
-    zeros = [list(row) for row in pattern.zeros]
-    zeros[r][c] = not zeros[r][c]
-    return replace(pattern, zeros=tuple(tuple(row) for row in zeros))
+    rows = list(pattern.rows)
+    rows[r] ^= 1 << c
+    return replace(pattern, rows=tuple(rows))
 
 
 class TestZeroPattern:
@@ -32,7 +32,7 @@ class TestZeroPattern:
         t = build_symmetric(3)
         p = zero_pattern(t)
         assert p.n_rows == 1
-        (row,) = p.zeros
+        (row,) = pattern_to_json(p)["zeros"]
         assert sum(row) == 1
         ci = row.index(True)
         assert t.classes[ci].label == (2, 1)
@@ -42,15 +42,35 @@ class TestZeroPattern:
         p = zero_pattern(t)
         refl = [i for i, c in enumerate(t.classes) if c.name.startswith("refl")]
         assert len(refl) == 2
-        for row in p.zeros:
+        for row in pattern_to_json(p)["zeros"]:
             assert all(row[c] for c in refl)
 
     def test_identity_and_central_columns_all_false(self, corpus):
         for t in corpus:
             p = zero_pattern(t)
+            zeros = pattern_to_json(p)["zeros"]
             for c in range(p.n_cols):
                 if p.class_sizes[c] == 1:
-                    assert not any(row[c] for row in p.zeros)
+                    assert not any(row[c] for row in zeros)
+
+    def test_row_bits_are_exact_zeros(self, corpus):
+        for t in corpus:
+            p = zero_pattern(t)
+            for row, r in zip(p.rows, p.nonlinear_idx):
+                values = t.characters[r].values
+                assert [row >> c & 1 == 1 for c in range(p.n_cols)] == [
+                    v.is_zero() for v in values
+                ]
+                assert row >> len(values) == 0
+
+    def test_cols_transpose_rows(self, corpus):
+        for t in corpus:
+            p = zero_pattern(t)
+            assert len(p.cols) == p.n_cols
+            for r, row in enumerate(p.rows):
+                for c, col in enumerate(p.cols):
+                    assert row >> c & 1 == col >> r & 1, (t.group_name, r, c)
+            assert all(col >> p.n_rows == 0 for col in p.cols)
 
     def test_export(self):
         t = build_symmetric(3)
@@ -99,7 +119,7 @@ class TestBurnside:
     def test_forced_violation_reported(self):
         t = build_symmetric(3)
         p = zero_pattern(t)
-        broken = flip(p, 0, list(p.zeros[0]).index(True))
+        broken = flip(p, 0, pattern_to_json(p)["zeros"][0].index(True))
         ok, bad = burnside_check(broken)
         assert not ok
         assert bad == [p.nonlinear_idx[0]]

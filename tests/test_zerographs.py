@@ -20,10 +20,15 @@ from charzero.zerographs import (
 
 
 def graph_from_edges(n, edges):
-    adj = [[False] * n for _ in range(n)]
+    adj = [0] * n
     for i, j in edges:
-        adj[i][j] = adj[j][i] = True
-    return SimpleGraph(tuple(f"v{i}" for i in range(n)), tuple(tuple(r) for r in adj))
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return SimpleGraph(tuple(f"v{i}" for i in range(n)), tuple(adj))
+
+
+def adjacent(g, i, j):
+    return bool(g.adjacency[i] >> j & 1)
 
 
 def brute_force_alpha(g):
@@ -33,11 +38,32 @@ def brute_force_alpha(g):
         if i == n:
             return len(chosen)
         best = rec(i + 1, chosen)
-        if all(not g.adjacency[i][j] for j in chosen):
+        if all(not adjacent(g, i, j) for j in chosen):
             best = max(best, rec(i + 1, chosen + [i]))
         return best
 
     return rec(0, [])
+
+
+class TestSimpleGraph:
+    @pytest.mark.parametrize(
+        "adjacency",
+        [
+            (0b01, 0b00),  # loop at vertex 0
+            (0b10, 0b00),  # 0 -- 1 without 1 -- 0
+            (0b00, 0b01),  # 1 -- 0 without 0 -- 1
+            (0b100, 0b000),  # bit 2 on a 2-vertex graph
+            (-1, 0b00),  # a negative mask sets every bit
+            (0b0,),  # one mask for two vertices
+        ],
+    )
+    def test_rejects_malformed_adjacency(self, adjacency):
+        with pytest.raises(ValueError):
+            SimpleGraph(("a", "b"), adjacency)
+
+    def test_accepts_symmetric(self):
+        g = SimpleGraph(("a", "b", "c"), (0b110, 0b001, 0b001))
+        assert adjacent(g, 0, 2) and adjacent(g, 2, 0) and not adjacent(g, 1, 2)
 
 
 class TestGammaV:
@@ -48,7 +74,7 @@ class TestGammaV:
     def test_d16_complete(self):
         g = gamma_v(zero_pattern(build_dihedral(8)))
         n = len(g.vertices)
-        assert all(g.adjacency[i][j] for i in range(n) for j in range(n) if i != j)
+        assert all(adjacent(g, i, j) for i in range(n) for j in range(n) if i != j)
 
     def test_s5_component_structure(self):
         # chi(3,2) and chi(2,2,1) vanish only on the 5-cycle class, giving a
@@ -63,7 +89,7 @@ class TestDeltaV:
     def test_s3_single_vertex(self):
         d = delta_v(zero_pattern(build_symmetric(3)))
         assert len(d.vertices) == 1
-        assert not any(any(row) for row in d.adjacency)
+        assert not any(d.adjacency)
 
     def test_abelian_empty(self):
         d = delta_v(zero_pattern(build_abelian([2, 2])))
@@ -75,7 +101,7 @@ class TestDeltaV:
         d = delta_v(zero_pattern(t))
         names = list(d.vertices)
         i, j = names.index("refl_even"), names.index("refl_odd")
-        assert d.adjacency[i][j]
+        assert adjacent(d, i, j)
 
 
 class TestTheta:
@@ -114,13 +140,13 @@ class TestTheta:
             for i in range(ln):
                 for j in range(ln):
                     shared = any(th.edges[i][c] and th.edges[j][c] for c in range(len(th.right)))
-                    assert g.adjacency[i][j] == (i != j and shared)
+                    assert adjacent(g, i, j) == (i != j and shared)
             dn = {name: k for k, name in enumerate(d.vertices)}
             for ci, cname in enumerate(th.right):
                 for cj, cname2 in enumerate(th.right):
                     shared = any(th.edges[r][ci] and th.edges[r][cj] for r in range(ln))
                     if cname in dn and cname2 in dn and ci != cj:
-                        assert d.adjacency[dn[cname]][dn[cname2]] == shared
+                        assert adjacent(d, dn[cname], dn[cname2]) == shared
 
 
 class TestComponents:
@@ -158,7 +184,7 @@ class TestIndependenceNumber:
             g = graph_from_edges(n, edges)
             a, w = independence_number(g)
             assert len(w) == a
-            assert all(not g.adjacency[i][j] for i in w for j in w if i != j)
+            assert all(not adjacent(g, i, j) for i in w for j in w if i != j)
 
     def test_brute_force_oracle_random(self):
         rng = random.Random(42)
