@@ -10,8 +10,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from collections import Counter
-from dataclasses import dataclass, field, replace
+from collections import Counter, namedtuple
 from pathlib import Path
 
 from .cyclotomic import Cyclotomic, cyc_from_json, cyc_to_json, cyclotomic_polynomial, root_of_unity
@@ -40,18 +39,11 @@ class SchemaError(ValueError):
     """The input does not conform to the table JSON schema."""
 
 
-@dataclass(frozen=True)
-class ConjClass:
-    name: str
-    size: int
-    element_order: int
-    label: tuple[int, ...] | None = None
+ConjClass = namedtuple("ConjClass", "name size element_order label", defaults=(None,))
 
 
-@dataclass(frozen=True)
-class Character:
-    name: str
-    values: tuple[Cyclotomic, ...]
+class Character(namedtuple("Character", "name values")):
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
@@ -61,24 +53,28 @@ class Character:
         return d
 
 
-@dataclass(frozen=True)
-class TableMetadata:
-    solvable: bool | None = None
-    nilpotent: bool | None = None
-    abelian_by_metanilpotent: bool | None = None
-    fitting_height: int | None = None
-    r_value: int | None = None
-    simple: bool | None = None
-    notes: str | None = None
+# metadata field -> the type its value must have when it is not null
+_META_FIELDS = {
+    "solvable": bool,
+    "nilpotent": bool,
+    "abelian_by_metanilpotent": bool,
+    "fitting_height": int,
+    "r_value": int,
+    "simple": bool,
+    "notes": str,
+}
+TableMetadata = namedtuple("TableMetadata", _META_FIELDS, defaults=(None,) * len(_META_FIELDS))
 
 
-@dataclass(frozen=True)
-class CharacterTable:
-    group_name: str
-    order: int
-    classes: tuple[ConjClass, ...]
-    characters: tuple[Character, ...]
-    metadata: TableMetadata = field(default_factory=TableMetadata)
+class CharacterTable(
+    namedtuple(
+        "CharacterTable", "group_name order classes characters metadata", defaults=(TableMetadata(),)
+    )
+):
+    """The default metadata is one shared TableMetadata(), immutable like
+    every record here; t._replace(...) makes a modified copy."""
+
+    __slots__ = ()
 
     @property
     def n_linear(self) -> int:
@@ -239,7 +235,7 @@ def build_abelian(invariant_factors: list[int]) -> CharacterTable:
         r_value=len(factors),
         simple=False,
     )
-    return replace(table, group_name=name, metadata=meta)
+    return table._replace(group_name=name, metadata=meta)
 
 
 def _combine_metadata(a: TableMetadata, b: TableMetadata) -> TableMetadata:
@@ -417,18 +413,6 @@ def validate(t: CharacterTable) -> list[str]:
 # serialization
 
 
-# metadata field -> the type its value must have when it is not null
-_META_FIELDS = {
-    "solvable": bool,
-    "nilpotent": bool,
-    "abelian_by_metanilpotent": bool,
-    "fitting_height": int,
-    "r_value": int,
-    "simple": bool,
-    "notes": str,
-}
-
-
 def table_to_json(t: CharacterTable) -> dict:
     meta = {k: getattr(t.metadata, k) for k in _META_FIELDS if getattr(t.metadata, k) is not None}
     return {
@@ -503,7 +487,9 @@ def table_from_json(data: dict) -> CharacterTable:
         except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
             raise SchemaError(f"character {i} has a malformed value: {exc}") from exc
         characters.append(Character(name=_require(rc, "name", str, f"character {i}"), values=values))
-    for kind, items in (("class", classes), ("character", characters)):
+    # names key the reports and the DOT vertices; theta's vertices are both kinds
+    named = {"class": classes, "character": characters, "class and character": classes + characters}
+    for kind, items in named.items():
         dups = sorted(name for name, k in Counter(x.name for x in items).items() if k > 1)
         if dups:
             raise SchemaError(f"duplicate {kind} names: {dups}")
@@ -555,5 +541,5 @@ def load_table(path) -> CharacterTable:
     try:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
-        raise SchemaError(f"malformed JSON in {path}: {exc}") from exc
+        raise SchemaError(f"malformed JSON: {exc}") from exc
     return table_from_json(data)

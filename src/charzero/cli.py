@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -59,12 +58,12 @@ def _err(msg: str) -> int:
     return 2
 
 
-@dataclass
 class TableAnalysis:
     """The facts every command reports about one table, each computed on
     first use and at most once."""
 
-    table: CharacterTable
+    def __init__(self, table: CharacterTable):
+        self.table = table
 
     @cached_property
     def pattern(self):
@@ -157,20 +156,29 @@ def _cmd_gen(args) -> int:
         elif args.family == "product":
             if len(params) != 2:
                 return _err("product takes exactly two table files")
-            table = direct_product(load_table(params[0]), load_table(params[1]))
+            table = direct_product(*(_load(p).table for p in params))
         else:
             table = _BUILDERS[args.family](int(params[0]))
         save_table(table, args.output)
-    except (ValueError, IndexError, SchemaError, OSError) as exc:
+    except (ValueError, IndexError, OSError, LoadError) as exc:
         return _err(str(exc))
     return 0
 
 
+class LoadError(Exception):
+    """A table file failed to load or validate: `<file>: <Type>: <message>`."""
+
+
 def _load(path) -> TableAnalysis:
-    table = load_table(path)
-    fails = validate(table)
-    if fails:
-        raise SchemaError(f"{path}: validation failed: {'; '.join(fails)}")
+    try:
+        table = load_table(path)
+        fails = validate(table)
+        if fails:
+            raise SchemaError(f"validation failed: {'; '.join(fails)}")
+    except Exception as exc:
+        # an OSError's text repeats the file name; its strerror does not
+        text = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise LoadError(f"{path}: {type(exc).__name__}: {text}") from exc
     return TableAnalysis(table)
 
 
@@ -198,7 +206,7 @@ def _cmd_analyze(args) -> int:
             "gamma_v_independence": a.gamma_alpha,
             "delta_v_independence": a.delta_alpha,
         }
-    except (SchemaError, OSError, DataIntegrityError, NoCoverError) as exc:
+    except (LoadError, DataIntegrityError, NoCoverError) as exc:
         return _err(str(exc))
     if args.format == "json":
         print(json.dumps(info, indent=1))
@@ -232,7 +240,7 @@ def _cmd_cover(args) -> int:
     try:
         a = _load(args.file)
         result = a.cover
-    except (SchemaError, OSError, NoCoverError) as exc:
+    except (LoadError, NoCoverError) as exc:
         return _err(str(exc))
     print(
         json.dumps(
@@ -266,7 +274,7 @@ def _cmd_graphs(args) -> int:
             (outdir / "theta.dot").write_text(
                 bipartite_to_dot(theta(t, p), "theta", {**degrees, **orders})
             )
-    except (SchemaError, OSError) as exc:
+    except (LoadError, OSError) as exc:
         return _err(str(exc))
     return 0
 
@@ -285,8 +293,8 @@ def _collect_paths(paths) -> list[Path]:
 def _table_rows(files, row, error_row) -> tuple[list[dict], bool]:
     """row(file, analysis) per file, or error_row(file, table or None, flag)
     with one `error: <file>: <Type>: <message>` line when the table fails to
-    load or validate ("load-error") or its row raises ("analysis-error").
-    Returns the rows and whether any table failed."""
+    load or validate ("load-error", the LoadError's text) or its row raises
+    ("analysis-error").  Returns the rows and whether any table failed."""
     rows, failed = [], False
     for f in files:
         table = None
@@ -295,7 +303,8 @@ def _table_rows(files, row, error_row) -> tuple[list[dict], bool]:
             table = a.table
             rows.append(row(f, a))
         except Exception as exc:  # one table's failure must not hide the other rows
-            print(f"error: {f}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            text = exc if table is None else f"{f}: {type(exc).__name__}: {exc}"
+            print(f"error: {text}", file=sys.stderr)
             rows.append(error_row(f, table, "load-error" if table is None else "analysis-error"))
             failed = True
     return rows, failed

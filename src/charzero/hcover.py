@@ -8,7 +8,7 @@ tie-breaking so witnesses are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .chartable import CharacterTable
 from .vanishing import ZeroPattern, bits, zero_pattern
@@ -28,12 +28,8 @@ class NoCoverError(RuntimeError):
     """Some nonlinear character vanishes nowhere; no cover exists."""
 
 
-@dataclass(frozen=True)
-class CoverResult:
-    k_min: int
-    witness: tuple[int, ...]  # class indices, sorted
-    explored_nodes: int
-    proof_lb: int
+CoverResult = namedtuple("CoverResult", "k_min witness explored_nodes proof_lb")
+CoverResult.__doc__ = "witness: the class indices of a minimum cover, sorted."
 
 
 def _greedy_cover(p: ZeroPattern) -> list[int]:

@@ -9,7 +9,7 @@ transposed masks, bit r of column c set iff row r vanishes on class c.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, reduce
 from itertools import compress
 from operator import and_, or_
@@ -45,14 +45,14 @@ def bits(mask: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class ZeroPattern:
-    table_ref: str
-    nonlinear_idx: tuple[int, ...]
-    class_sizes: tuple[int, ...]
-    rows: tuple[int, ...]  # one mask per nonlinear character, bit c = zero at class c
-    row_names: tuple[str, ...]
-    col_names: tuple[str, ...]
+class ZeroPattern(
+    namedtuple("ZeroPattern", "table_ref nonlinear_idx class_sizes rows row_names col_names")
+):
+    """rows: one mask per nonlinear character, bit c = zero at class c.  No
+    __slots__: the cached `cols` lives in the instance __dict__."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ZeroPattern is immutable; cannot set {name!r}")
 
     @property
     def n_rows(self) -> int:

@@ -5,7 +5,7 @@ vanishing-class graph (Delta_v), and the bipartite character-class graph
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .chartable import CharacterTable
 from .vanishing import ZeroPattern, bits
@@ -35,30 +35,34 @@ class GraphTooLargeError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
-    vertices: tuple[str, ...]
-    adjacency: tuple[int, ...]  # neighbour masks: bit j of adjacency[i] iff i -- j
+class SimpleGraph(namedtuple("SimpleGraph", "vertices adjacency")):
+    """adjacency: neighbour masks, bit j of adjacency[i] iff i -- j.  __new__
+    checks them, and _make, hence _replace, goes through __new__."""
 
-    def __post_init__(self):
-        n = len(self.vertices)
-        for i, nbrs in enumerate(self.adjacency):
+    __slots__ = ()
+
+    def __new__(cls, vertices, adjacency):
+        n = len(vertices)
+        for i, nbrs in enumerate(adjacency):
             if nbrs >> n:
                 raise ValueError("adjacency has a bit beyond the last vertex")
             if nbrs >> i & 1:
                 raise ValueError("no loops allowed")
         # character j of rows[i] is bit j of adjacency[i]; the matrix is
         # symmetric iff its columns read the same as its rows
-        rows = [format(nbrs, f"0{n}b")[::-1] for nbrs in self.adjacency]
+        rows = [format(nbrs, f"0{n}b")[::-1] for nbrs in adjacency]
         if len(rows) != n or ["".join(col) for col in zip(*rows)] != rows:
             raise ValueError("adjacency must be symmetric, one mask per vertex")
+        return super().__new__(cls, vertices, adjacency)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class BipartiteGraph:
-    left: tuple[str, ...]  # nonlinear characters
-    right: tuple[str, ...]  # non-central classes
-    edges: tuple[tuple[bool, ...], ...]  # left x right
+BipartiteGraph = namedtuple("BipartiteGraph", "left right edges")
+BipartiteGraph.__doc__ = """left: nonlinear characters; right: non-central classes;
+edges: left x right."""
 
 
 def _common_zero_graph(names, masks, transposed) -> SimpleGraph:

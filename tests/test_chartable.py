@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -242,13 +241,13 @@ class TestValidate:
         vals[1] = vals[1] + 1
         chars = list(t.characters)
         chars[2] = Character(ch.name, tuple(vals))
-        bad = replace(t, characters=tuple(chars))
+        bad = t._replace(characters=tuple(chars))
         fails = validate(bad)
         assert any("row orthogonality" in f for f in fails)
 
     def test_bad_metadata(self):
         t = build_dihedral(4)
-        bad = replace(t, metadata=TableMetadata(solvable=False, fitting_height=2))
+        bad = t._replace(metadata=TableMetadata(solvable=False, fitting_height=2))
         assert any("fitting_height" in f or "solvable" in f for f in validate(bad))
 
     def test_central_classes_are_exactly_full_norm_classes(self):

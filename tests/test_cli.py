@@ -217,6 +217,8 @@ MALFORMED = {
     "order-negative": _set_order(-60),
     "duplicate-character-name": _duplicate_name("characters"),
     "duplicate-class-name": _duplicate_name("classes"),
+    # chi3a renamed 3a, the name of a class: theta.dot would merge the two
+    "class-and-character-name": lambda doc: doc["characters"][1].update(name="3a"),
 }
 
 
@@ -258,6 +260,55 @@ class TestSchemaTypes:
         path.write_text(json.dumps(doc))
         t = load_table(path)
         assert t.metadata.notes == "checked by hand" and t.classes[1].label == (2, 2)
+
+
+def _set_value_to_7(path):
+    doc = json.loads((FIXTURE_DIR / "a5.json").read_text())
+    doc["characters"][1]["values"][1] = 7
+    path.write_text(json.dumps(doc))
+
+
+CORRUPT = {"value-7": _set_value_to_7, "truncated-json": lambda path: path.write_text("{")}
+# the argv of each command that reads a table file, given that file
+READERS = {
+    "verify": lambda path, tmp: ["verify", str(path)],
+    "report": lambda path, tmp: ["report", str(path.parent), "-o", str(tmp / "r.csv")],
+    "analyze": lambda path, tmp: ["analyze", str(path)],
+    "cover": lambda path, tmp: ["cover", str(path)],
+    "graphs": lambda path, tmp: ["graphs", str(path), "--out", str(tmp / "g")],
+    "gen-product": lambda path, tmp: [
+        "gen", "product", str(FIXTURE_DIR / "a5.json"), str(path), "-o", str(tmp / "p.json")
+    ],
+}
+# report reads only the files its directory holds, so it never meets a missing one
+NAMED_ONCE = [
+    (command, corruption)
+    for corruption in (*CORRUPT, "missing-file")
+    for command in READERS
+    if (command, corruption) != ("report", "missing-file")
+]
+
+
+class TestLoadErrorNamesTheFileOnce:
+    @pytest.mark.parametrize("command,corruption", NAMED_ONCE)
+    def test_each_command(self, tmp_path, capsys, command, corruption):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        path = corpus / "bad_a5.json"
+        if corruption in CORRUPT:
+            CORRUPT[corruption](path)
+        assert main(READERS[command](path, tmp_path)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
+        assert err[0].count("bad_a5") == 1
+
+    def test_validation_failure_text(self, tmp_path, capsys):
+        path = tmp_path / "bad_a5.json"
+        _set_value_to_7(path)
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: SchemaError: validation failed: row orthogonality fails"
+        )
 
 
 class TestOutputPathErrors:

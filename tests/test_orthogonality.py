@@ -4,7 +4,6 @@ exact Cyclotomic sums it replaced, plus the soundness cases of its bound."""
 import math
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -61,7 +60,7 @@ def with_value(t, r, c, value):
     ch = t.characters[r]
     values = ch.values[:c] + (value,) + ch.values[c + 1 :]
     chars = t.characters[:r] + (Character(ch.name, values),) + t.characters[r + 1 :]
-    return replace(t, characters=chars)
+    return t._replace(characters=chars)
 
 
 def add_to_coefficient(t, r, c, e, delta):

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from charzero.chartable import build_abelian, build_dihedral, build_symmetric
@@ -20,7 +18,7 @@ from charzero.vanishing import (
 def flip(pattern, r, c):
     rows = list(pattern.rows)
     rows[r] ^= 1 << c
-    return replace(pattern, rows=tuple(rows))
+    return pattern._replace(rows=tuple(rows))
 
 
 class TestZeroPattern:

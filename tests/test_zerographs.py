@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -64,6 +63,15 @@ class TestSimpleGraph:
     def test_accepts_symmetric(self):
         g = SimpleGraph(("a", "b", "c"), (0b110, 0b001, 0b001))
         assert adjacent(g, 0, 2) and adjacent(g, 2, 0) and not adjacent(g, 1, 2)
+
+    @pytest.mark.parametrize("adjacency", [(0b01, 0b00), (0b10, 0b00)], ids=["loop", "asymmetric"])
+    def test_replace_and_make_check_too(self, adjacency):
+        g = SimpleGraph(("a", "b"), (0b10, 0b01))
+        with pytest.raises(ValueError):
+            g._replace(adjacency=adjacency)
+        with pytest.raises(ValueError):
+            SimpleGraph._make((("a", "b"), adjacency))
+        assert g._replace(adjacency=(0, 0)) == SimpleGraph._make((("a", "b"), (0, 0)))
 
 
 class TestGammaV:
@@ -237,7 +245,7 @@ class TestBoundChecks:
 
     def test_invalid_fitting_height_flagged(self):
         t = build_dihedral(4)
-        bad = replace(t, metadata=TableMetadata(solvable=True, fitting_height=0))
+        bad = t._replace(metadata=TableMetadata(solvable=True, fitting_height=0))
         assert bound_checks(bad, zero_pattern(bad)) == ["metadata-invalid:fitting_height"]
 
     def test_fabricated_low_fitting_height_flagged(self):
@@ -246,7 +254,7 @@ class TestBoundChecks:
         p = zero_pattern(t)
         alpha, _ = independence_number(gamma_v(p))
         if alpha > 1:
-            bad = replace(t, metadata=TableMetadata(solvable=True, fitting_height=1))
+            bad = t._replace(metadata=TableMetadata(solvable=True, fitting_height=1))
             assert "fitting-height-bound-violated-bad-data" in bound_checks(bad, p)
 
 
