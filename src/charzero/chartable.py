@@ -103,9 +103,11 @@ class _IntValues(dict):
 
 
 def build_symmetric(n: int) -> CharacterTable:
-    """Exact character table of S_n via the Murnaghan-Nakayama recursion."""
-    if not 1 <= n <= 14:
-        raise ValueError("build_symmetric supports 1 <= n <= 14")
+    """Exact character table of S_n via the Murnaghan-Nakayama recursion.
+    It has p(n) classes and p(n)**2 values, so time and memory grow with
+    p(n)**2 (S_20 has 627 classes)."""
+    if n < 1:
+        raise ValueError("build_symmetric requires n >= 1")
     parts = partitions_of(n)
     # Identity class (cycle type 1^n) goes first; the rest keep reverse-lex order.
     identity = (1,) * n

@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 = clean, 1 = flags/counterexamples found, 2 = input/usage
-errors.  All data output is exact; reports are deterministic for identical
-inputs (fixed orderings, no timestamps).
+errors.  A failure is one stderr line: `error: <file>: <Type>: <message>`
+when a table file fails to load or validate, else `error: <Type>: <message>`.
+All data output is exact; reports are deterministic for identical inputs
+(fixed orderings, no timestamps).
 """
 
 from __future__ import annotations
@@ -51,11 +53,6 @@ from .zerographs import (
 )
 
 ALL_CHECKS = ("burnside", "mno", "camina", "hmm-components", "covers", "bounds", "witnesses")
-
-
-def _err(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return 2
 
 
 class TableAnalysis:
@@ -150,18 +147,15 @@ _BUILDERS = {"sym": build_symmetric, "dihedral": build_dihedral, "cyclic": build
 
 def _cmd_gen(args) -> int:
     params = args.params
-    try:
-        if args.family == "abelian":
-            table = build_abelian([int(p) for p in params])
-        elif args.family == "product":
-            if len(params) != 2:
-                return _err("product takes exactly two table files")
-            table = direct_product(*(_load(p).table for p in params))
-        else:
-            table = _BUILDERS[args.family](int(params[0]))
-        save_table(table, args.output)
-    except (ValueError, IndexError, OSError, LoadError) as exc:
-        return _err(str(exc))
+    if args.family == "abelian":
+        table = build_abelian([int(p) for p in params])
+    elif args.family == "product":
+        if len(params) != 2:
+            raise ValueError("product takes exactly two table files")
+        table = direct_product(*(_load(p).table for p in params))
+    else:
+        table = _BUILDERS[args.family](int(params[0]))
+    save_table(table, args.output)
     return 0
 
 
@@ -183,31 +177,28 @@ def _load(path) -> TableAnalysis:
 
 
 def _cmd_analyze(args) -> int:
-    try:
-        a = _load(args.file)
-        t, p = a.table, a.pattern
-        names = lambda ixs: sorted(t.classes[c].name for c in ixs)
-        info = {
-            "group": t.group_name,
-            "order": t.order,
-            "n_classes": len(t.classes),
-            "n_characters": len(t.characters),
-            "n_nonlinear": p.n_rows,
-            "vanishing_classes": names(vanishing_classes(p)),
-            "nonvanishing_classes": names(nonvanishing_classes(p)),
-            "camina_classes": names(camina_classes(t, p)),
-            "central_type_characters": sorted(
-                t.characters[r].name for r in central_type_characters(t, p)
-            ),
-            "k_min": a.cover.k_min,
-            "witness": [t.classes[c].name for c in a.cover.witness],
-            "gamma_v_components": a.gamma_components,
-            "delta_v_components": a.delta_components,
-            "gamma_v_independence": a.gamma_alpha,
-            "delta_v_independence": a.delta_alpha,
-        }
-    except (LoadError, DataIntegrityError, NoCoverError) as exc:
-        return _err(str(exc))
+    a = _load(args.file)
+    t, p = a.table, a.pattern
+    names = lambda ixs: sorted(t.classes[c].name for c in ixs)
+    info = {
+        "group": t.group_name,
+        "order": t.order,
+        "n_classes": len(t.classes),
+        "n_characters": len(t.characters),
+        "n_nonlinear": p.n_rows,
+        "vanishing_classes": names(vanishing_classes(p)),
+        "nonvanishing_classes": names(nonvanishing_classes(p)),
+        "camina_classes": names(camina_classes(t, p)),
+        "central_type_characters": sorted(
+            t.characters[r].name for r in central_type_characters(t, p)
+        ),
+        "k_min": a.cover.k_min,
+        "witness": [t.classes[c].name for c in a.cover.witness],
+        "gamma_v_components": a.gamma_components,
+        "delta_v_components": a.delta_components,
+        "gamma_v_independence": a.gamma_alpha,
+        "delta_v_independence": a.delta_alpha,
+    }
     if args.format == "json":
         print(json.dumps(info, indent=1))
     else:
@@ -237,11 +228,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_cover(args) -> int:
-    try:
-        a = _load(args.file)
-        result = a.cover
-    except (LoadError, NoCoverError) as exc:
-        return _err(str(exc))
+    a = _load(args.file)
+    result = a.cover
     print(
         json.dumps(
             {
@@ -260,22 +248,19 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_graphs(args) -> int:
-    try:
-        a = _load(args.file)
-        t, p = a.table, a.pattern
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "pattern.json").write_text(json.dumps(pattern_to_json(p), indent=1) + "\n")
-        if args.dot:
-            degrees = {ch.name: f"deg={ch.degree}" for ch in t.characters}
-            orders = {c.name: f"ord={c.element_order}" for c in t.classes}
-            (outdir / "gamma_v.dot").write_text(to_dot(a.gamma, "gamma_v", degrees))
-            (outdir / "delta_v.dot").write_text(to_dot(a.delta, "delta_v", orders))
-            (outdir / "theta.dot").write_text(
-                bipartite_to_dot(theta(t, p), "theta", {**degrees, **orders})
-            )
-    except (LoadError, OSError) as exc:
-        return _err(str(exc))
+    a = _load(args.file)
+    t, p = a.table, a.pattern
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "pattern.json").write_text(json.dumps(pattern_to_json(p), indent=1) + "\n")
+    if args.dot:
+        degrees = {ch.name: f"deg={ch.degree}" for ch in t.characters}
+        orders = {c.name: f"ord={c.element_order}" for c in t.classes}
+        (outdir / "gamma_v.dot").write_text(to_dot(a.gamma, "gamma_v", degrees))
+        (outdir / "delta_v.dot").write_text(to_dot(a.delta, "delta_v", orders))
+        (outdir / "theta.dot").write_text(
+            bipartite_to_dot(theta(t, p), "theta", {**degrees, **orders})
+        )
     return 0
 
 
@@ -328,14 +313,21 @@ def _report_error_row(f, t: CharacterTable | None, flag: str) -> dict:
     return {**row, "group": t.group_name if t else "", "flags": flag}
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _cmd_verify(args) -> int:
     checks = ALL_CHECKS if args.checks == "all" else tuple(args.checks.split(","))
     unknown = set(checks) - set(ALL_CHECKS)
     if unknown or not checks:
-        return _err(f"unknown or empty check selection: {sorted(unknown)}")
+        raise ValueError(f"unknown or empty check selection: {sorted(unknown)}")
     files = _collect_paths(args.paths)
     if not files:
-        return _err("no input files")
+        raise ValueError("no input files")
     rows, had_error = _table_rows(
         files,
         lambda f, a: {"file": str(f), "group": a.table.group_name, "flags": a.flags(checks)},
@@ -359,7 +351,7 @@ def _cmd_verify(args) -> int:
 def _cmd_report(args) -> int:
     files = _collect_paths([args.dir])
     if not files:
-        return _err(f"no tables found in {args.dir}")
+        raise ValueError(f"no tables found in {args.dir}")
     rows, had_error = _table_rows(files, _report_row, _report_error_row)
     out = Path(args.output)
     if out.suffix == ".json":
@@ -370,17 +362,21 @@ def _cmd_report(args) -> int:
         writer.writeheader()
         writer.writerows(rows)
         text = buf.getvalue()
-    try:
-        out.write_text(text)
-    except OSError as exc:
-        return _err(str(exc))
+    out.write_text(text)
     if had_error:
         return 2
     return 1 if any(r["flags"] for r in rows) else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error for main to print, instead of printing usage."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="charzero")
+    parser = _Parser(prog="charzero")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a character table")
@@ -396,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cover = sub.add_parser("cover", help="exact minimum class cover")
     cover.add_argument("file")
-    cover.add_argument("--max-k", type=int, default=None)
+    cover.add_argument("--max-k", type=nonnegative_int, default=None)
     cover.set_defaults(func=_cmd_cover)
 
     graphs = sub.add_parser("graphs", help="emit zero pattern and graphs")
@@ -419,15 +415,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except Exception as exc:  # the CLI reports any failure on one line, never a traceback
-        return _err(f"{type(exc).__name__}: {exc}")
+    except SystemExit as exc:  # --help
+        return exc.code
+    except LoadError as exc:
+        text = exc
+    except Exception as exc:  # never a traceback
+        text = f"{type(exc).__name__}: {exc}"
+    print(f"error: {text}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -107,7 +107,11 @@ class TestBuildSymmetric:
         with pytest.raises(ValueError):
             build_symmetric(0)
         with pytest.raises(ValueError):
-            build_symmetric(15)
+            build_symmetric(-3)
+
+    def test_s15_above_the_old_cap(self):
+        t = build_symmetric(15)
+        assert len(t.classes) == 176 and validate(t) == []
 
 
 class TestBuildDihedral:

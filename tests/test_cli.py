@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from charzero import cli
 from charzero.chartable import SchemaError, load_table, validate
 from charzero.cli import main
 
@@ -87,6 +88,12 @@ class TestCover:
         path = tmp_path / "s5.json"
         main(["gen", "sym", "5", "-o", str(path)])
         assert main(["cover", str(path), "--max-k", "1"]) == 1
+
+    def test_negative_max_k_is_a_usage_error(self, capsys):
+        assert main(["cover", str(FIXTURE_DIR / "a5.json"), "--max-k", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: ArgumentError: argument --max-k: must be at least 0, got -1\n"
 
 
 class TestGraphs:
@@ -338,7 +345,7 @@ class TestOutputPathErrors:
 
 def gen_s7_d24_product(root):
     """S7, D24 and S7 x D24 under root; Gamma_v of the product has 127
-    vertices, above the exact solver's cap."""
+    vertices."""
     s7, d24, prod = root / "s7.json", root / "d24.json", root / "s7xd24.json"
     assert main(["gen", "sym", "7", "-o", str(s7)]) == 0
     assert main(["gen", "dihedral", "12", "-o", str(d24)]) == 0
@@ -346,43 +353,63 @@ def gen_s7_d24_product(root):
     return s7, d24, prod
 
 
+def fail_analysis_of(monkeypatch, group):
+    """Make the zero-pattern stage raise for the table of that group only."""
+    real = cli.zero_pattern
+
+    def zero_pattern(t):
+        if t.group_name == group:
+            raise RuntimeError(f"no pattern for {group}")
+        return real(t)
+
+    monkeypatch.setattr(cli, "zero_pattern", zero_pattern)
+
+
 class TestVerifyAnalysisError:
-    def test_other_rows_survive_a_table_over_the_graph_cap(self, tmp_path, capsys):
+    def test_other_rows_survive_an_analysis_error(self, tmp_path, monkeypatch, capsys):
         s7, d24, prod = gen_s7_d24_product(tmp_path)
+        a5 = tmp_path / "a5.json"
+        shutil.copy(FIXTURE_DIR / "a5.json", a5)
+        fail_analysis_of(monkeypatch, "A5")
         capsys.readouterr()
-        assert main(["verify", str(s7), str(d24), str(prod)]) == 2
+        assert main(["verify", str(s7), str(d24), str(prod), str(a5)]) == 2
         out, err = capsys.readouterr()
         assert out.splitlines() == [
             "file,group,flags",
+            f"{a5},A5,analysis-error",
             f"{d24},D24,",
             f"{s7},S7,",
-            f"{prod},S7xD24,analysis-error",
+            f"{prod},S7xD24,",
         ]
-        assert err.startswith(f"error: {prod}: GraphTooLargeError: ") and len(err.splitlines()) == 1
-        assert "127 vertices" in err
+        assert err == f"error: {a5}: RuntimeError: no pattern for A5\n"
 
 
 class TestReportErrors:
-    def test_other_rows_survive_a_load_and_an_analysis_error(self, tmp_path, capsys):
+    def test_other_rows_survive_a_load_and_an_analysis_error(
+        self, tmp_path, monkeypatch, capsys
+    ):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         s7, d24, prod = gen_s7_d24_product(corpus)
+        a5 = corpus / "a5.json"
+        shutil.copy(FIXTURE_DIR / "a5.json", a5)
         bad = corpus / "bad.json"
         bad.write_text("{")
         out = tmp_path / "report.csv"
+        fail_analysis_of(monkeypatch, "A5")
         capsys.readouterr()
         assert main(["report", str(corpus), "-o", str(out)]) == 2
         lines = out.read_text().splitlines()
         assert lines[0] == "group,order,n_classes,n_nonlinear,k_min,witness_names,flags"
-        assert lines[1] == ",,,,,,load-error"
-        assert lines[2].startswith("D24,24,9,") and lines[2].endswith(",")
-        assert lines[3].startswith("S7,5040,15,") and lines[3].endswith(",")
-        assert lines[4] == "S7xD24,,,,,,analysis-error"
+        assert lines[1] == "A5,,,,,,analysis-error"
+        assert lines[2] == ",,,,,,load-error"
+        assert lines[3].startswith("D24,24,9,") and lines[3].endswith(",")
+        assert lines[4].startswith("S7,5040,15,") and lines[4].endswith(",")
+        assert lines[5].startswith("S7xD24,120960,135,") and lines[5].endswith(",")
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2
-        assert err[0].startswith(f"error: {bad}: SchemaError: ")
-        assert err[1].startswith(f"error: {prod}: GraphTooLargeError: ")
-        assert "127 vertices" in err[1]
+        assert err[0] == f"error: {a5}: RuntimeError: no pattern for A5"
+        assert err[1].startswith(f"error: {bad}: SchemaError: ")
 
 
 class TestDotEscaping:
@@ -402,15 +429,58 @@ class TestDotEscaping:
         assert {'chi"3', "3a\\", 'chi"3 deg=3', "3a\\ ord=3"} <= names
 
 
-class TestUnexpectedErrors:
-    def test_graph_cap_is_one_error_line(self, tmp_path, capsys):
-        # S_13's Gamma_v has 99 vertices, above the exact solver's cap
-        path = tmp_path / "s13.json"
-        assert main(["gen", "sym", "13", "-o", str(path)]) == 0
-        assert main(["analyze", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: GraphTooLargeError: ") and len(err.splitlines()) == 1
+@pytest.fixture(scope="module")
+def large_symmetric(tmp_path_factory):
+    """S_13..S_16 as files in one directory, by n."""
+    root = tmp_path_factory.mktemp("large")
+    paths = {n: root / f"s{n}.json" for n in range(13, 17)}
+    for n, path in paths.items():
+        assert main(["gen", "sym", str(n), "-o", str(path)]) == 0
+    return paths
 
+
+class TestLargeSymmetric:
+    """S_13..S_16, whose zero graphs have 97 to 229 vertices, run clean
+    through every command."""
+
+    @pytest.mark.parametrize("n", [13, 14])
+    def test_analyze_json(self, n, large_symmetric, capsys):
+        # alpha(Gamma_v), alpha(Delta_v) as bench/make_golden.py knows them
+        alphas = {13: (2, 3), 14: (2, 4)}[n]
+        assert main(["analyze", str(large_symmetric[n]), "--format", "json"]) == 0
+        out, err = capsys.readouterr()
+        info = json.loads(out)
+        assert (info["gamma_v_independence"], info["delta_v_independence"]) == alphas
+        assert err == ""
+
+    @pytest.mark.parametrize("n", [13, 14])
+    def test_cover(self, n, large_symmetric, capsys):
+        assert main(["cover", str(large_symmetric[n]), "--max-k", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["k_min"] == 2
+
+    @pytest.mark.parametrize("n", [13, 14])
+    def test_graphs(self, n, large_symmetric, tmp_path):
+        outdir = tmp_path / "g"
+        assert main(["graphs", str(large_symmetric[n]), "--out", str(outdir), "--dot"]) == 0
+        assert (outdir / "delta_v.dot").read_text().startswith("graph delta_v {")
+
+    def test_verify(self, large_symmetric, capsys):
+        root = large_symmetric[13].parent
+        assert main(["verify", str(root)]) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines()[1:] == [f"{path},S{n}," for n, path in large_symmetric.items()]
+        assert err == ""
+
+    def test_report(self, large_symmetric, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["report", str(large_symmetric[13].parent), "-o", str(out)]) == 0
+        rows = json.loads(out.read_text())
+        assert sorted(r["group"] for r in rows) == ["S13", "S14", "S15", "S16"]
+        assert all(r["k_min"] == 2 and r["flags"] == "" for r in rows)
+        assert capsys.readouterr().err == ""
+
+
+class TestUnexpectedErrors:
     def test_any_exception_is_one_error_line(self, monkeypatch, capsys):
         def boom(_table):
             raise RuntimeError("boom")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -221,6 +222,34 @@ class TestIndependenceNumber:
     def test_dihedral_gamma_v_value(self, n):
         g = gamma_v(zero_pattern(build_dihedral(2**n)))
         assert independence_number(g)[0] == 1
+
+    def test_witness_is_first_maximum_set_in_combinations_order(self):
+        rng = random.Random(11)
+        for _ in range(150):
+            n = rng.randint(1, 13)
+            density = rng.choice((0.2, 0.4, 0.6))
+            edges = [
+                (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density
+            ]
+            g = graph_from_edges(n, edges)
+            expected = next(
+                (k, w)
+                for k in range(n, -1, -1)
+                for w in itertools.combinations(range(n), k)
+                if not any(adjacent(g, i, j) for i, j in itertools.combinations(w, 2))
+            )
+            assert independence_number(g) == expected, edges
+
+    def test_disjoint_cliques_above_96_vertices(self):
+        edges = [
+            (30 * c + i, 30 * c + j) for c in range(5) for i in range(30) for j in range(i + 1, 30)
+        ]
+        g = graph_from_edges(150, edges)
+        assert independence_number(g) == (5, (0, 30, 60, 90, 120))
+
+    def test_complete_graph_above_96_vertices(self):
+        g = graph_from_edges(120, [(i, j) for i in range(120) for j in range(i + 1, 120)])
+        assert independence_number(g) == (1, (0,))
 
     def test_size_limit(self):
         g = graph_from_edges(10, [])
