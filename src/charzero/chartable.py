@@ -93,13 +93,20 @@ class CharacterTable(
 # constructors
 
 
-class _IntValues(dict):
-    """The rational-integer values of one table: one shared Cyclotomic per
-    integer, made on first lookup."""
+class _Values(dict):
+    """The values of one table: one shared Cyclotomic per distinct value, so
+    per-value work can be done once per object.  An int key gives the
+    conductor-1 value of that integer, made on first lookup; intern() files
+    every other value under (conductor, coeffs), since Cyclotomic equality
+    crosses conductors and values are not hashable."""
 
     def __missing__(self, k: int) -> Cyclotomic:
         v = self[k] = Cyclotomic.from_rational(k)
         return v
+
+    def intern(self, v: Cyclotomic) -> Cyclotomic:
+        q = v.as_integer()
+        return self[q] if q is not None else self.setdefault((v.conductor, v.coeffs), v)
 
 
 def build_symmetric(n: int) -> CharacterTable:
@@ -124,9 +131,9 @@ def build_symmetric(n: int) -> CharacterTable:
     )
     # partitions_of yields canonical partitions, so the cached recursion runs
     # without mn_value's checks.
-    ints = _IntValues()
+    vals = _Values()
     characters = tuple(
-        Character(name=f"chi{lam}", values=tuple(ints[_mn(lam, mu)] for mu in class_order))
+        Character(name=f"chi{lam}", values=tuple(vals[_mn(lam, mu)] for mu in class_order))
         for lam in parts
     )
     meta = TableMetadata(solvable=(n <= 4), simple=False)
@@ -138,9 +145,10 @@ def build_dihedral(m: int) -> CharacterTable:
     if m < 3:
         raise ValueError("build_dihedral requires m >= 3")
     order = 2 * m
-    one = Cyclotomic.one()
-    zero = Cyclotomic.zero()
-    two = Cyclotomic.from_rational(2)
+    vals = _Values()
+    zeta = [root_of_unity(m, k) for k in range(m)]
+    # two_cos[k] = zeta^k + zeta^-k = 2cos(2 pi k/m); chi_i(x^j) = two_cos[i*j % m]
+    two_cos = [vals.intern(zeta[k] + zeta[-k]) for k in range(m)]
 
     def rot_order(j: int) -> int:
         return m // math.gcd(m, j) if j else 1
@@ -166,26 +174,18 @@ def build_dihedral(m: int) -> CharacterTable:
     if m % 2 == 0:
         for a in (1, -1):
             for b in (1, -1):
-                vals = [Cyclotomic.from_rational(a**j) for j in rot_js]
-                vals.append(Cyclotomic.from_rational(b))
-                vals.append(Cyclotomic.from_rational(a * b))
-                characters.append(Character(f"lin[{a},{b}]", tuple(vals)))
+                row = [vals[a**j] for j in rot_js] + [vals[b], vals[a * b]]
+                characters.append(Character(f"lin[{a},{b}]", tuple(row)))
         n_nonlin = m // 2 - 1
     else:
         for b in (1, -1):
-            vals = [one] * len(rot_js) + [Cyclotomic.from_rational(b)]
-            characters.append(Character(f"lin[{b}]", tuple(vals)))
+            row = [vals[1]] * len(rot_js) + [vals[b]]
+            characters.append(Character(f"lin[{b}]", tuple(row)))
         n_nonlin = (m - 1) // 2
 
     for i in range(1, n_nonlin + 1):
-        vals = []
-        for j in rot_js:
-            if j == 0:
-                vals.append(two)
-            else:
-                vals.append(root_of_unity(m, i * j) + root_of_unity(m, -i * j))
-        vals.extend([zero] * refl_cols)
-        characters.append(Character(f"chi_{i}", tuple(vals)))
+        row = [two_cos[i * j % m] for j in rot_js] + [vals[0]] * refl_cols
+        characters.append(Character(f"chi_{i}", tuple(row)))
 
     is_2power = m & (m - 1) == 0
     meta = TableMetadata(
@@ -205,9 +205,10 @@ def build_cyclic(n: int) -> CharacterTable:
         ConjClass("e" if k == 0 else f"x^{k}", 1, n // math.gcd(n, k) if k else 1)
         for k in range(n)
     )
+    vals = _Values()
+    zeta = [vals.intern(root_of_unity(n, e)) for e in range(n)]
     characters = tuple(
-        Character(f"lin_{j}", tuple(root_of_unity(n, j * k) for k in range(n)))
-        for j in range(n)
+        Character(f"lin_{j}", tuple(zeta[j * k % n] for k in range(n))) for j in range(n)
     )
     meta = TableMetadata(
         solvable=True,
@@ -263,11 +264,16 @@ def direct_product(a: CharacterTable, b: CharacterTable) -> CharacterTable:
         for ca in a.classes
         for cb in b.classes
     )
-    ints = _IntValues()
+    vals = _Values()
+    # every factor value lives for the whole call, so its id is a stable key
+    products: dict[tuple[int, int], Cyclotomic] = {}
 
     def times(va: Cyclotomic, vb: Cyclotomic) -> Cyclotomic:
-        v = va * vb
-        return ints.setdefault(v.coeffs[0], v) if v.conductor == 1 else v
+        key = (id(va), id(vb))
+        v = products.get(key)
+        if v is None:
+            v = products[key] = vals.intern(va * vb)
+        return v
 
     characters = tuple(
         Character(
@@ -292,12 +298,13 @@ def direct_product(a: CharacterTable, b: CharacterTable) -> CharacterTable:
 
 def _gram_modulus(t: CharacterTable) -> tuple[int, int, int]:
     """(N, x, M) for the row-orthogonality check of a table whose values are
-    all algebraic integers: N is the lcm of the value conductors, x = 2^s is
+    all algebraic integers: N is the lcm of the conductors of the irrational
+    values (a rational value maps to itself at any N), x = 2^s is
     the least power of two above B + 1, where B = (sum of |class size|) * L^2
     + |order| and L is the largest coefficient L1 norm of any value, and
     M = Phi_N(x)."""
-    values = [v for ch in t.characters for v in ch.values]
-    n = math.lcm(*(v.conductor for v in values))
+    values = {id(v): v for ch in t.characters for v in ch.values}.values()
+    n = math.lcm(*(v.conductor for v in values if v.rational_value() is None))
     l1 = max((sum(map(abs, v.coeffs)) for v in values), default=0)
     bound = sum(abs(c.size) for c in t.classes) * l1 * l1 + abs(t.order)
     s = (bound + 1).bit_length()
@@ -320,13 +327,18 @@ def _row_orthogonality(t: CharacterTable) -> list[str]:
         powers.append(powers[-1] * x % modulus)
 
     def image(v: Cyclotomic, sign: int) -> int:
-        # zeta_n^e = zeta_N^(e*N/n) -> x^(e*N/n); conjugation negates e
+        # zeta_n^e = zeta_N^(e*N/n) -> x^(e*N/n); conjugation negates e.  A
+        # rational value, whose n need not divide N, has only e = 0: coeffs[0].
         step = sign * (n // v.conductor)
         return sum(q * powers[e * step % n] for e, q in enumerate(v.coeffs) if q)
 
+    # one image per value object: a table shares one object per distinct value
+    distinct = {id(v): v for ch in t.characters for v in ch.values}
+    plus = {i: image(v, 1) for i, v in distinct.items()}
+    minus = {i: image(v, -1) for i, v in distinct.items()}
     sizes = [c.size for c in t.classes]
-    weighted = [[size * image(v, 1) for size, v in zip(sizes, ch.values)] for ch in t.characters]
-    conjugate = [[image(v, -1) for v in ch.values] for ch in t.characters]
+    weighted = [[size * plus[id(v)] for size, v in zip(sizes, ch.values)] for ch in t.characters]
+    conjugate = [[minus[id(v)] for v in ch.values] for ch in t.characters]
     for r1, row in enumerate(weighted):
         for r2 in range(r1, len(weighted)):
             expect = t.order if r1 == r2 else 0
@@ -475,17 +487,22 @@ def table_from_json(data: dict) -> CharacterTable:
         )
 
     characters = []
-    ints = _IntValues()
+    vals = _Values()
     for i, rc in enumerate(raw_chars):
         if not isinstance(rc, dict):
             raise SchemaError(f"character {i} must be an object")
-        vals = _require(rc, "values", list, f"character {i}")
-        if len(vals) != len(classes):
+        raw = _require(rc, "values", list, f"character {i}")
+        if len(raw) != len(classes):
             raise SchemaError(
-                f"character {i} has {len(vals)} values for {len(classes)} classes"
+                f"character {i} has {len(raw)} values for {len(classes)} classes"
             )
         try:
-            values = tuple(ints[v] if type(v) is int else cyc_from_json(v) for v in vals)
+            if set(map(type, raw)) == {int}:
+                values = tuple(map(vals.__getitem__, raw))
+            else:
+                values = tuple(
+                    vals[v] if type(v) is int else vals.intern(cyc_from_json(v)) for v in raw
+                )
         except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
             raise SchemaError(f"character {i} has a malformed value: {exc}") from exc
         characters.append(Character(name=_require(rc, "name", str, f"character {i}"), values=values))

@@ -354,8 +354,15 @@ def cyc_from_json(obj) -> Cyclotomic:
         if type(n) is not int:
             raise ValueError(f"conductor must be an integer, got {n!r}")
         coeffs = [
-            num if type(num) is int and type(den) is int and den == 1 else Fraction(num, den)
+            num if type(num) is int and type(den) is int and den == 1 else _fraction(num, den)
             for num, den in obj["coeffs"]
         ]
         return Cyclotomic(n, coeffs)
     raise ValueError(f"cannot decode cyclotomic value from {obj!r}")
+
+
+def _fraction(num, den) -> Fraction:
+    # Fraction takes bools as the ints 0 and 1; JSON true is not a number here
+    if type(num) is bool or type(den) is bool:
+        raise ValueError(f"booleans are not coefficients, got [{num!r}, {den!r}]")
+    return Fraction(num, den)

@@ -1,14 +1,20 @@
 import json
 import math
+import tempfile
+import time
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from charzero.chartable import (
     Character,
     CharacterTable,
     SchemaError,
     TableMetadata,
+    _gram_modulus,
     build_abelian,
     build_cyclic,
     build_dihedral,
@@ -237,7 +243,138 @@ class TestDirectProduct:
         )
 
 
+def rotation_exponent(cls):
+    """j for the dihedral class of x^j (0 for e), None for a reflection class."""
+    return 0 if cls.name == "e" else int(cls.name[2:]) if cls.name.startswith("x^") else None
+
+
+def assert_one_object_per_value(t):
+    """Distinct value objects of t differ: as values where they share a
+    conductor, and every rational integer is stored at conductor 1."""
+    objects = list({id(v): v for ch in t.characters for v in ch.values}.values())
+    assert all(v.conductor == 1 for v in objects if v.as_integer() is not None)
+    assert all(a.conductor != b.conductor or a != b for a, b in combinations(objects, 2))
+
+
+def fixture_table(name):
+    return load_table(FIXTURE_DIR / f"{name}.json")
+
+
+PRODUCT_PAIRS = {
+    "a5xpsl2_7": lambda: (fixture_table("a5"), fixture_table("psl2_7")),
+    "a5xd20": lambda: (fixture_table("a5"), build_dihedral(10)),
+    "m11xc6": lambda: (fixture_table("m11"), build_cyclic(6)),
+    "d14xd16": lambda: (build_dihedral(7), build_dihedral(8)),
+    "d20xc8": lambda: (build_dihedral(10), build_cyclic(8)),
+    "c5xc12": lambda: (build_cyclic(5), build_cyclic(12)),
+    "s5xd18": lambda: (build_symmetric(5), build_dihedral(9)),
+    "s4xs5": lambda: (build_symmetric(4), build_symmetric(5)),
+    "c2xc4xa5": lambda: (build_abelian([2, 4]), fixture_table("a5")),
+}
+
+
+class TestSharedValues:
+    """The constructors and the loader share one object per distinct value
+    and compute each distinct value once; the per-entry formulas they
+    replaced are the oracles here."""
+
+    @pytest.mark.parametrize("m", range(3, 41))
+    def test_dihedral_matches_per_entry_formula(self, m):
+        t = build_dihedral(m)
+        for ch in t.characters:
+            for cls, v in zip(t.classes, ch.values):
+                j = rotation_exponent(cls)
+                if ch.name.startswith("chi_"):
+                    i = int(ch.name[4:])
+                    expect = 0 if j is None else root_of_unity(m, i * j) + root_of_unity(m, -i * j)
+                else:
+                    # lin[a,b] for even m, lin[b] for odd m
+                    signs = [int(x) for x in ch.name[4:-1].split(",")]
+                    a, b = signs if m % 2 == 0 else (1, signs[0])
+                    expect = a**j if j is not None else b if cls.name != "refl_odd" else a * b
+                assert v == expect, (ch.name, cls.name)
+        assert_one_object_per_value(t)
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_cyclic_matches_per_entry_formula(self, n):
+        t = build_cyclic(n)
+        for j, ch in enumerate(t.characters):
+            assert list(ch.values) == [root_of_unity(n, j * k) for k in range(n)]
+        assert_one_object_per_value(t)
+
+    @pytest.mark.parametrize("make", PRODUCT_PAIRS.values(), ids=PRODUCT_PAIRS.keys())
+    def test_direct_product_matches_per_entry_product(self, make):
+        a, b = make()
+        p = direct_product(a, b)
+        expect = [
+            va * vb
+            for xa in a.characters
+            for xb in b.characters
+            for va in xa.values
+            for vb in xb.values
+        ]
+        assert [v for ch in p.characters for v in ch.values] == expect
+        assert_one_object_per_value(p)
+
+    @pytest.mark.parametrize("make", PRODUCT_PAIRS.values(), ids=PRODUCT_PAIRS.keys())
+    def test_loaded_table_shares_its_values(self, make, tmp_path):
+        p = direct_product(*make())
+        save_table(p, tmp_path / "p.json")
+        loaded = load_table(tmp_path / "p.json")
+        assert loaded == p
+        assert_one_object_per_value(loaded)
+
+    def test_fixtures_share_their_values(self, fixture_tables):
+        for t in fixture_tables:
+            assert_one_object_per_value(t)
+
+    def test_symmetric_shares_its_values(self, symmetric_tables):
+        for t in symmetric_tables.values():
+            assert_one_object_per_value(t)
+
+
+# at most 6 classes each, so a product of three has at most 216
+HYPOTHESIS_FACTORS = [
+    build_symmetric(3),
+    build_symmetric(4),
+    build_dihedral(4),
+    build_dihedral(5),
+    build_dihedral(6),
+    build_cyclic(3),
+    build_cyclic(5),
+    build_abelian([2, 2]),
+    fixture_table("a5"),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(HYPOTHESIS_FACTORS), min_size=2, max_size=3))
+def test_save_and_load_keep_table_to_json_on_products(factors):
+    t = factors[0]
+    for f in factors[1:]:
+        t = direct_product(t, f)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "product.json"
+        save_table(t, path)
+        loaded = load_table(path)
+    assert table_to_json(loaded) == table_to_json(t)
+    assert_one_object_per_value(loaded)
+
+
 class TestValidate:
+    def test_rational_value_at_a_huge_conductor_is_quick(self):
+        # a zero stored at conductor 1009 must not make validate build Phi_N
+        # at the lcm of every conductor
+        t = fixture_table("a5")
+        chi5 = t.characters[4]
+        assert chi5.values[3].is_zero()
+        values = chi5.values[:3] + (Cyclotomic(1009, [0] * 1008),) + chi5.values[4:]
+        bad = t._replace(characters=t.characters[:4] + (chi5._replace(values=values),))
+        assert _gram_modulus(bad)[0] == 5
+        start = time.perf_counter()
+        assert validate(bad) == []
+        assert time.perf_counter() - start < 1
+
     def test_perturbed_value_fails_orthogonality(self):
         t = build_symmetric(4)
         ch = t.characters[2]

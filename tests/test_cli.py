@@ -220,6 +220,11 @@ MALFORMED = {
     "coefficient-zero-denominator": _set_coefficient([1, 0]),
     "coefficient-string-numerator": _set_coefficient(["1", 1]),
     "coefficient-three-elements": _set_coefficient([1, 1, 1]),
+    "coefficient-bool-numerator": _set_coefficient([True, 1]),
+    "coefficient-bool-denominator": _set_coefficient([2, True]),
+    # rows of ints alone are decoded without the per-value checks; these are not
+    "value-bool-in-integer-row": lambda doc: doc["characters"][0]["values"].__setitem__(1, True),
+    "value-float-in-integer-row": lambda doc: doc["characters"][4]["values"].__setitem__(1, 1.0),
     "order-zero": _set_order(0),
     "order-negative": _set_order(-60),
     "duplicate-character-name": _duplicate_name("characters"),
@@ -258,6 +263,22 @@ class TestSchemaTypes:
         captured = capsys.readouterr()
         assert captured.out.splitlines()[1] == f"{path},,load-error"
         assert "Traceback" not in captured.err
+
+    def test_zeros_at_huge_conductors_are_quick(self, tmp_path, capsys):
+        # two zeros stored at the primes 1009 and 1013: validate must not
+        # build Phi_N at their lcm, 1022117
+        doc = json.loads((FIXTURE_DIR / "a5.json").read_text())
+        for (r, c), n in {(1, 2): 1009, (4, 3): 1013}.items():
+            assert doc["characters"][r]["values"][c] == 0
+            doc["characters"][r]["values"][c] = {"conductor": n, "coeffs": [[0, 1]] * (n - 1)}
+        path = tmp_path / "a5.json"
+        path.write_text(json.dumps(doc))
+        assert path.stat().st_size > 16_000
+        start = time.perf_counter()
+        assert main(["verify", str(path)]) == 0
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1] == f"{path},A5," and captured.err == ""
 
     def test_null_metadata_and_int_labels_load(self, tmp_path):
         doc = json.loads((FIXTURE_DIR / "a5.json").read_text())
