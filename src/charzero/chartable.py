@@ -13,7 +13,14 @@ import operator
 from collections import Counter, namedtuple
 from pathlib import Path
 
-from .cyclotomic import Cyclotomic, cyc_from_json, cyc_to_json, cyclotomic_polynomial, root_of_unity
+from .cyclotomic import (
+    Cyclotomic,
+    cyc_from_json,
+    cyc_to_json,
+    cyclotomic_polynomial,
+    euler_phi,
+    root_of_unity,
+)
 from .partitions import _mn, partitions_of, z_order
 
 __all__ = [
@@ -136,7 +143,7 @@ def build_symmetric(n: int) -> CharacterTable:
         Character(name=f"chi{lam}", values=tuple(vals[_mn(lam, mu)] for mu in class_order))
         for lam in parts
     )
-    meta = TableMetadata(solvable=(n <= 4), simple=False)
+    meta = TableMetadata(solvable=(n <= 4), simple=(n == 2))
     return CharacterTable(f"S{n}", nfact, classes, characters, meta)
 
 
@@ -215,7 +222,7 @@ def build_cyclic(n: int) -> CharacterTable:
         nilpotent=True,
         fitting_height=1 if n > 1 else None,
         r_value=1 if n > 1 else None,
-        simple=False,
+        simple=euler_phi(n) == n - 1,  # C_n is simple iff n is prime
     )
     return CharacterTable(f"C{n}", n, classes, characters, meta)
 
@@ -236,7 +243,7 @@ def build_abelian(invariant_factors: list[int]) -> CharacterTable:
         nilpotent=True,
         fitting_height=1,
         r_value=len(factors),
-        simple=False,
+        simple=len(factors) == 1 and euler_phi(factors[0]) == factors[0] - 1,
     )
     return table._replace(group_name=name, metadata=meta)
 

@@ -154,6 +154,8 @@ def _cmd_gen(args) -> int:
             raise ValueError("product takes exactly two table files")
         table = direct_product(*(_load(p).table for p in params))
     else:
+        if len(params) != 1:
+            raise ValueError(f"{args.family} takes exactly one integer")
         table = _BUILDERS[args.family](int(params[0]))
     save_table(table, args.output)
     return 0

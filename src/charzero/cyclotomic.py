@@ -59,22 +59,20 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    # Exact division of integer polynomials (low-to-high coefficients),
-    # denominator monic.  Remainder must come out zero.
-    num = list(num)
+def _long_division(num: list, den: tuple[int, ...]) -> tuple[list, list]:
+    """Quotient and remainder of num by the monic den (coefficients low to
+    high).  A num shorter than den comes back whole as the remainder."""
+    rem = list(num)
     dd = len(den) - 1
-    quot = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        quot[i - dd] = c
-        for j, dc in enumerate(den):
-            num[i - dd + j] -= c * dc
-    if any(num):
-        raise ArithmeticError("polynomial division left a remainder")
-    return quot
+    terms = [(j, c) for j, c in enumerate(den[:dd]) if c]
+    quot = [0] * (len(rem) - dd)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        c = rem[i]
+        if c:
+            quot[i - dd] = c
+            for j, dc in terms:
+                rem[i - dd + j] -= c * dc
+    return quot, rem[:dd]
 
 
 @lru_cache(maxsize=None)
@@ -88,25 +86,10 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (n - 1) + [1]
     for d in _divisors(n):
         if d < n:
-            poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
+            poly, rem = _long_division(poly, cyclotomic_polynomial(d))
+            if any(rem):
+                raise ArithmeticError("polynomial division left a remainder")
     return tuple(poly)
-
-
-@lru_cache(maxsize=None)
-def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    # rows[e - phi(n)] = coefficients of x^e mod Phi_n, for phi(n) <= e < n.
-    phi = euler_phi(n)
-    poly = cyclotomic_polynomial(n)
-    base = [-c for c in poly[:phi]]
-    rows = [tuple(base)]
-    cur = list(base)
-    for _ in range(phi + 1, n):
-        top = cur[-1]
-        cur = [0] + cur[:-1]
-        if top:
-            cur = [c + top * b for c, b in zip(cur, base)]
-        rows.append(tuple(cur))
-    return tuple(rows)
 
 
 def _coef(c) -> int | Fraction:
@@ -123,23 +106,11 @@ def _canon(vec: tuple) -> tuple:
     return vec if Fraction not in map(type, vec) else tuple(map(_coef, vec))
 
 
-def _normalize(n: int, sparse: dict[int, int | Fraction]) -> tuple[int | Fraction, ...]:
-    # sparse maps exponents in [0, n) to coefficients; reduce mod Phi_n.
-    phi = euler_phi(n)
-    coeffs = [0] * phi
-    rows = None
-    for e, c in sparse.items():
-        if not c:
-            continue
-        if e < phi:
-            coeffs[e] += c
-        else:
-            if rows is None:
-                rows = _reduction_rows(n)
-            for i, r in enumerate(rows[e - phi]):
-                if r:
-                    coeffs[i] += c * r
-    return _canon(tuple(coeffs))
+def _reduce(n: int, poly: list) -> tuple[int | Fraction, ...]:
+    """The canonical vector of poly(zeta_n): its remainder mod Phi_n, padded
+    to phi(n) coefficients."""
+    rem = _long_division(poly, cyclotomic_polynomial(n))[1]
+    return _canon(tuple(rem) + (0,) * (euler_phi(n) - len(rem)))
 
 
 class Cyclotomic:
@@ -200,8 +171,9 @@ class Cyclotomic:
         if target % n != 0:
             raise ValueError("target conductor must be a multiple")
         step = target // n
-        sparse = {e * step: c for e, c in self._sparse().items()}
-        return Cyclotomic._make(target, _normalize(target, sparse))
+        poly = [0] * ((len(self.coeffs) - 1) * step + 1)
+        poly[::step] = self.coeffs
+        return Cyclotomic._make(target, _reduce(target, poly))
 
     @staticmethod
     def _coerce(x) -> "Cyclotomic":
@@ -248,19 +220,14 @@ class Cyclotomic:
             a, q = (self, other.coeffs[0]) if other.conductor == 1 else (other, self.coeffs[0])
             return Cyclotomic._make(a.conductor, _canon(tuple([q * c for c in a.coeffs])))
         a, b = self._common(other)
-        n = a.conductor
-        sparse: dict[int, int | Fraction] = {}
-        bs = b._sparse()
-        for i, ci in a._sparse().items():
-            for j, cj in bs.items():
-                e = i + j
-                if e >= n:
-                    e -= n
-                if e in sparse:
-                    sparse[e] += ci * cj
-                else:
-                    sparse[e] = ci * cj
-        return Cyclotomic._make(n, _normalize(n, sparse))
+        # both factors have degree < phi(N), so the product needs no wrap mod N
+        poly = [0] * (2 * len(a.coeffs) - 1)
+        bs = [(j, c) for j, c in enumerate(b.coeffs) if c]
+        for i, ci in enumerate(a.coeffs):
+            if ci:
+                for j, cj in bs:
+                    poly[i + j] += ci * cj
+        return Cyclotomic._make(a.conductor, _reduce(a.conductor, poly))
 
     __rmul__ = __mul__
 
@@ -279,8 +246,10 @@ class Cyclotomic:
     def conj(self) -> "Cyclotomic":
         """Complex conjugation: zeta_N -> zeta_N^(N-1)."""
         n = self.conductor
-        sparse = {(-e) % n: c for e, c in self._sparse().items()}
-        return Cyclotomic._make(n, _normalize(n, sparse))
+        poly = [0] * n
+        for e, c in enumerate(self.coeffs):
+            poly[(n - e) % n] = c
+        return Cyclotomic._make(n, _reduce(n, poly))
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -329,7 +298,7 @@ def root_of_unity(n: int, k: int) -> Cyclotomic:
     """zeta_n^k in canonical reduced form at conductor n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return Cyclotomic._make(n, _normalize(n, {k % n: 1}))
+    return Cyclotomic._make(n, _reduce(n, [0] * (k % n) + [1]))
 
 
 def cyc_to_json(v: Cyclotomic):

@@ -132,8 +132,6 @@ def independence_number(
     # complement-graph neighbourhoods
     comp = [full & ~nbrs & ~(1 << i) for i, nbrs in enumerate(g.adjacency)]
 
-    best_size = 0
-
     def color_order(cand: int):
         # greedy coloring of the candidate set; returns vertices with their
         # color numbers, colors ascending
@@ -152,20 +150,6 @@ def independence_number(
                 colors.append(color)
         return order, colors
 
-    def expand(depth: int, cand: int):
-        nonlocal best_size
-        order, colors = color_order(cand)
-        for idx in range(len(order) - 1, -1, -1):
-            if depth + colors[idx] <= best_size:
-                return
-            v = order[idx]
-            nxt = cand & comp[v]
-            if nxt:
-                expand(depth + 1, nxt)
-            elif depth + 1 > best_size:
-                best_size = depth + 1
-            cand &= ~(1 << v)
-
     def clique_at_least(cand: int, need: int) -> bool:
         if need <= 0:
             return True
@@ -181,18 +165,25 @@ def independence_number(
             cand &= ~(1 << v)
         return False
 
-    expand(0, full)
+    # the greedy independent set (lowest vertex first, drop its neighbours)
+    # bounds alpha from below; the decision search raises the bound to alpha
+    alpha, cand = 0, full
+    while cand:
+        cand &= comp[(cand & -cand).bit_length() - 1]
+        alpha += 1
+    while clique_at_least(full, alpha + 1):
+        alpha += 1
 
     # lexicographically smallest witness of the optimal size
     witness: list[int] = []
     cand = full
     for v in range(n):
-        if len(witness) == best_size:
+        if len(witness) == alpha:
             break
-        if cand & (1 << v) and clique_at_least(cand & comp[v], best_size - len(witness) - 1):
+        if cand & (1 << v) and clique_at_least(cand & comp[v], alpha - len(witness) - 1):
             witness.append(v)
             cand &= comp[v]
-    return best_size, tuple(witness)
+    return alpha, tuple(witness)
 
 
 # The Gamma_v flags: (id, predicate on (metadata, alpha(Gamma_v), number of

@@ -202,6 +202,14 @@ class TestCyclicAbelian:
         with pytest.raises(ValueError):
             build_abelian([2, 1])
 
+    def test_simple_claims(self):
+        # S_2 = C_2 and C_p are simple; no other S_n (n <= 6), cyclic or
+        # abelian group here is
+        assert [n for n in range(1, 7) if build_symmetric(n).metadata.simple] == [2]
+        assert [n for n in range(1, 13) if build_cyclic(n).metadata.simple] == [2, 3, 5, 7, 11]
+        factor_lists = ([2], [7], [4], [6], [2, 2], [3, 5], [2, 4, 6])
+        assert [f for f in factor_lists if build_abelian(f).metadata.simple] == [[2], [7]]
+
 
 class TestDirectProduct:
     def test_with_trivial_factor(self):

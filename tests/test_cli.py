@@ -49,6 +49,16 @@ class TestGen:
         assert main(["gen", "sym", "abc", "-o", str(tmp_path / "x.json")]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "family, params",
+        [("sym", ["5", "7"]), ("cyclic", ["3", "99"]), ("dihedral", ["4", "banana"])],
+    )
+    def test_extra_params_rejected(self, tmp_path, capsys, family, params):
+        out = tmp_path / "x.json"
+        assert main(["gen", family, *params, "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: ValueError: {family} takes exactly one integer\n"
+        assert not out.exists()
+
 
 class TestAnalyze:
     def test_s3_text(self, tmp_path, capsys):

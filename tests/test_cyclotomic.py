@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,18 @@ class TestCyclotomicPolynomial:
     @pytest.mark.parametrize("n", range(1, 40))
     def test_degree_is_totient(self, n):
         assert len(cyclotomic_polynomial(n)) == euler_phi(n) + 1
+
+    def test_divisor_products_against_brute_force(self):
+        for n in [*range(1, 201), 210, 1155]:
+            prod = [1]
+            for d in range(1, n + 1):
+                if n % d == 0:
+                    prod = naive_poly_mul(prod, list(cyclotomic_polynomial(d)))
+            assert prod == [-1] + [0] * (n - 1) + [1], n
+
+    def test_phi_105_has_a_coefficient_minus_2(self):
+        # the least n with a coefficient of Phi_n outside {-1, 0, 1}
+        assert -2 in cyclotomic_polynomial(105)
 
 
 class TestRootOfUnity:
@@ -291,6 +304,20 @@ class TestFractionOracle:
             want = oracle_mul((1, (Fraction(scalar),)), oracle(v))
             for got in (scalar * v, v * scalar, Cyclotomic.from_rational(scalar) * v):
                 assert_matches(got, want)
+
+    @pytest.mark.parametrize("n", [105, 120, 210])
+    def test_dense_values_at_large_conductors(self, n):
+        # every coefficient of a and b nonzero; every zeta_n^k
+        rng = random.Random(n)
+        a, b = (
+            Cyclotomic(n, [rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(euler_phi(n))])
+            for _ in range(2)
+        )
+        for k in range(n):
+            assert_matches(root_of_unity(n, k), oracle_reduce(n, [0] * k + [1]))
+        assert_matches(a.conj(), oracle_conj(oracle(a)))
+        assert_matches(a.embed(2 * n), oracle_embed(oracle(a), 2 * n))
+        assert_matches(a * b, oracle_mul(oracle(a), oracle(b)))
 
     @pytest.mark.parametrize("n", range(1, 65))
     def test_halves_sum_to_ints(self, n):
