@@ -29,7 +29,7 @@ from .chartable import (
     save_table,
     validate,
 )
-from .hcover import COVER_FLAGS, NoCoverError, check_cover, min_cover
+from .hcover import NoCoverError, check_cover, cover_flags, min_cover
 from .vanishing import (
     DataIntegrityError,
     burnside_check,
@@ -42,8 +42,8 @@ from .vanishing import (
     zero_pattern,
 )
 from .zerographs import (
-    BOUND_FLAGS,
     bipartite_to_dot,
+    bound_flags,
     components,
     delta_v,
     gamma_v,
@@ -124,20 +124,14 @@ class TableAnalysis:
             except NoCoverError as exc:
                 flags.append(f"covers:{exc}")
         if "covers" in checks and cover is not None:
-            flags += [
-                f"covers:{text.format(k=cover.k_min, m=m)}"
-                for _, text, holds in COVER_FLAGS
-                if holds(m, cover.k_min)
-            ]
+            flags += [f"covers:{text}" for _, text in cover_flags(m, cover.k_min)]
         if "witnesses" in checks and cover is not None:
             ok, bad = check_cover(p, cover.witness)
             if not ok:
                 flags.append(f"witnesses:solver witness leaves characters {bad} uncovered")
         if "bounds" in checks:
             flags += [
-                f"bounds:{name}"
-                for name, holds in BOUND_FLAGS
-                if holds(m, self.gamma_alpha, self.gamma_components)
+                f"bounds:{name}" for name in bound_flags(m, self.gamma_alpha, self.gamma_components)
             ]
         return flags
 
@@ -271,7 +265,7 @@ def _collect_paths(paths) -> list[Path]:
     for raw in paths:
         p = Path(raw)
         if p.is_dir():
-            files.extend(sorted(p.glob("*.json")))
+            files.extend(f for f in p.glob("*.json") if f.is_file())
         else:
             files.append(p)
     return sorted(set(files))
@@ -323,7 +317,7 @@ def nonnegative_int(text: str) -> int:
 
 
 def _cmd_verify(args) -> int:
-    checks = ALL_CHECKS if args.checks == "all" else tuple(args.checks.split(","))
+    checks = ALL_CHECKS if args.checks == "all" else tuple(dict.fromkeys(args.checks.split(",")))
     unknown = set(checks) - set(ALL_CHECKS)
     if unknown or not checks:
         raise ValueError(f"unknown or empty check selection: {sorted(unknown)}")

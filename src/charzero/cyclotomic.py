@@ -29,37 +29,39 @@ __all__ = [
 ]
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes of n >= 1, ascending, by one trial division."""
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
+    """n times the product of (1 - 1/p) over the primes p of n."""
     if n < 1:
         raise ValueError("euler_phi requires n >= 1")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    for p in _prime_factors(n):
+        n -= n // p
+    return n
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def _spread(poly, k: int) -> list:
+    """poly(x^k): the coefficient of x^j moves to x^(j*k)."""
+    out = [0] * ((len(poly) - 1) * k + 1)
+    out[::k] = poly
+    return out
 
 
-def _long_division(num: list, den: tuple[int, ...]) -> tuple[list, list]:
+def _long_division(num: list, den) -> tuple[list, list]:
     """Quotient and remainder of num by the monic den (coefficients low to
     high).  A num shorter than den comes back whole as the remainder."""
     rem = list(num)
@@ -77,19 +79,18 @@ def _long_division(num: list, den: tuple[int, ...]) -> tuple[list, list]:
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, low-to-high degree, computed by exact division
-    of x^n - 1 by Phi_d over the proper divisors d of n."""
+    """Coefficients of Phi_n, low-to-high degree.  From Phi_1 = x - 1, each
+    prime p of n gives Phi_mp(x) = Phi_m(x^p) / Phi_m(x) by exact division;
+    then Phi_n(x) = Phi_r(x^(n/r)) for the radical r of n."""
     if n < 1:
         raise ValueError("conductor must be >= 1")
-    if n == 1:
-        return (-1, 1)
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in _divisors(n):
-        if d < n:
-            poly, rem = _long_division(poly, cyclotomic_polynomial(d))
-            if any(rem):
-                raise ArithmeticError("polynomial division left a remainder")
-    return tuple(poly)
+    poly, r = [-1, 1], 1
+    for p in _prime_factors(n):
+        poly, rem = _long_division(_spread(poly, p), poly)
+        if any(rem):
+            raise ArithmeticError("polynomial division left a remainder")
+        r *= p
+    return tuple(_spread(poly, n // r))
 
 
 def _coef(c) -> int | Fraction:
@@ -170,10 +171,7 @@ class Cyclotomic:
             return self
         if target % n != 0:
             raise ValueError("target conductor must be a multiple")
-        step = target // n
-        poly = [0] * ((len(self.coeffs) - 1) * step + 1)
-        poly[::step] = self.coeffs
-        return Cyclotomic._make(target, _reduce(target, poly))
+        return Cyclotomic._make(target, _reduce(target, _spread(self.coeffs, target // n)))
 
     @staticmethod
     def _coerce(x) -> "Cyclotomic":

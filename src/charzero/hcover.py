@@ -19,7 +19,7 @@ __all__ = [
     "min_cover",
     "check_cover",
     "pair_cover_product",
-    "COVER_FLAGS",
+    "cover_flags",
     "conjecture_report",
 ]
 
@@ -118,22 +118,23 @@ def pair_cover_product(
     return [ia * width + ib for ia, ib in zip(ca, cb)]
 
 
-# The k_min flags: (report id, verify text, predicate on (metadata, k_min)).
-# The verify text is formatted with k = k_min and m = the metadata.
-COVER_FLAGS = (
-    ("conjecture-1a-counterexample", "k_min={k}>3 (conjecture 1a counterexample)",
-     lambda m, k: k > 3),
-    ("conjecture-1b-counterexample", "solvable with k_min={k}>2 (conjecture 1b)",
-     lambda m, k: m.solvable and k > 2),
-    ("r-bound-violated-bad-data", "k_min={k} exceeds r(G)={m.r_value}",
-     lambda m, k: m.r_value is not None and k > m.r_value),
-    ("simple-h3-violated-bad-data", "simple group with k_min={k}>3",
-     lambda m, k: m.simple and k > 3),
-)
+def cover_flags(m, k_min: int) -> list[tuple[str, str]]:
+    """The k_min flags a table with metadata m raises, as (report id,
+    verify text) pairs in a fixed order."""
+    k = k_min
+    flags = (
+        ("conjecture-1a-counterexample", f"k_min={k}>3 (conjecture 1a counterexample)", k > 3),
+        ("conjecture-1b-counterexample", f"solvable with k_min={k}>2 (conjecture 1b)",
+         m.solvable and k > 2),
+        ("r-bound-violated-bad-data", f"k_min={k} exceeds r(G)={m.r_value}",
+         m.r_value is not None and k > m.r_value),
+        ("simple-h3-violated-bad-data", f"simple group with k_min={k}>3", m.simple and k > 3),
+    )
+    return [(name, text) for name, text, holds in flags if holds]
 
 
 def conjecture_report(corpus: list[CharacterTable]) -> dict:
-    """Per-table minimum covers with the COVER_FLAGS ids they raise.  The
+    """Per-table minimum covers with the cover_flags ids they raise.  The
     report only ever records the absence of counterexamples in the corpus."""
     entries = []
     for t in corpus:
@@ -147,9 +148,7 @@ def conjecture_report(corpus: list[CharacterTable]) -> dict:
                 "n_nonlinear": p.n_rows,
                 "k_min": result.k_min,
                 "witness": [t.classes[c].name for c in result.witness],
-                "flags": [
-                    name for name, _, holds in COVER_FLAGS if holds(t.metadata, result.k_min)
-                ],
+                "flags": [name for name, _ in cover_flags(t.metadata, result.k_min)],
             }
         )
     return {"tables": entries, "clean": not any(e["flags"] for e in entries)}

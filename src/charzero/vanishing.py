@@ -15,6 +15,7 @@ from itertools import compress
 from operator import and_, or_
 
 from .chartable import CharacterTable
+from .cyclotomic import _prime_factors
 
 __all__ = [
     "ZeroPattern",
@@ -106,16 +107,7 @@ def burnside_check(p: ZeroPattern) -> tuple[bool, list[int]]:
 
 
 def is_prime_power(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return n == 1
-        p += 1
-    return True
+    return n > 1 and len(_prime_factors(n)) == 1
 
 
 def prime_power_check(t: CharacterTable, p: ZeroPattern) -> tuple[bool, list[int]]:

@@ -19,7 +19,7 @@ __all__ = [
     "theta",
     "components",
     "independence_number",
-    "BOUND_FLAGS",
+    "bound_flags",
     "bound_checks",
     "to_dot",
     "bipartite_to_dot",
@@ -186,22 +186,24 @@ def independence_number(
     return alpha, tuple(witness)
 
 
-# The Gamma_v flags: (id, predicate on (metadata, alpha(Gamma_v), number of
-# components of Gamma_v)).
-BOUND_FLAGS = (
-    ("fitting-height-bound-violated-bad-data",
-     lambda m, alpha, ncomp: m.fitting_height is not None and alpha > m.fitting_height),
-    ("abelian-by-metanilpotent-bound-violated-bad-data",
-     lambda m, alpha, ncomp: m.abelian_by_metanilpotent and alpha > 2),
-    ("conjecture-2a-counterexample", lambda m, alpha, ncomp: alpha > 3),
-    ("conjecture-2b-counterexample", lambda m, alpha, ncomp: m.solvable and alpha > 2),
-    ("components-conjecture-counterexample", lambda m, alpha, ncomp: ncomp > 3),
-    ("solvable-components-bound-violated", lambda m, alpha, ncomp: m.solvable and ncomp > 2),
-)
+def bound_flags(m, alpha: int, ncomp: int) -> list[str]:
+    """The Gamma_v flag ids a table with metadata m raises, in a fixed
+    order, given alpha(Gamma_v) and the number of components of Gamma_v."""
+    flags = (
+        ("fitting-height-bound-violated-bad-data",
+         m.fitting_height is not None and alpha > m.fitting_height),
+        ("abelian-by-metanilpotent-bound-violated-bad-data",
+         m.abelian_by_metanilpotent and alpha > 2),
+        ("conjecture-2a-counterexample", alpha > 3),
+        ("conjecture-2b-counterexample", m.solvable and alpha > 2),
+        ("components-conjecture-counterexample", ncomp > 3),
+        ("solvable-components-bound-violated", m.solvable and ncomp > 2),
+    )
+    return [name for name, holds in flags if holds]
 
 
 def bound_checks(t: CharacterTable, p: ZeroPattern) -> list[str]:
-    """The BOUND_FLAGS ids a table raises: solvable bounds, the
+    """The bound_flags ids a table raises: solvable bounds, the
     abelian-by-metanilpotent bound, the fitting-height bound, and the
     at-most-three-components conjecture.  Empty list = nothing flagged."""
     m = t.metadata
@@ -210,7 +212,7 @@ def bound_checks(t: CharacterTable, p: ZeroPattern) -> list[str]:
     g = gamma_v(p)
     alpha, _ = independence_number(g)
     ncomp = len(components(g))
-    return [name for name, holds in BOUND_FLAGS if holds(m, alpha, ncomp)]
+    return bound_flags(m, alpha, ncomp)
 
 
 def _quote(name: str) -> str:

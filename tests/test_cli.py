@@ -145,6 +145,13 @@ class TestVerify:
         doc = json.loads(capsys.readouterr().out)
         assert doc["checks"] == ["covers"]
 
+    def test_repeated_checks_are_listed_once(self, tmp_path, capsys):
+        corpus = build_corpus_dir(tmp_path)
+        argv = ["verify", str(corpus), "--checks", "mno,burnside,mno,burnside", "--format", "json"]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["checks"] == ["mno", "burnside"]
+
     def test_unknown_check(self, tmp_path, capsys):
         corpus = build_corpus_dir(tmp_path)
         assert main(["verify", str(corpus), "--checks", "bogus"]) == 2
@@ -163,6 +170,32 @@ class TestVerify:
         first = capsys.readouterr().out
         main(["verify", str(corpus), "--format", "json"])
         assert capsys.readouterr().out == first
+
+
+class TestDirectoryScan:
+    """A directory argument yields its regular *.json files; a subdirectory
+    whose name ends in .json (say, a `graphs --out` target) is not a table."""
+
+    def corpus_with_json_subdir(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        main(["gen", "sym", "4", "-o", str(corpus / "t.json")])
+        assert main(["graphs", str(corpus / "t.json"), "--out", str(corpus / "g_t.json")]) == 0
+        return corpus
+
+    def test_verify(self, tmp_path, capsys):
+        corpus = self.corpus_with_json_subdir(tmp_path)
+        assert main(["verify", str(corpus)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == ["file,group,flags", f"{corpus / 't.json'},S4,"]
+        assert captured.err == ""
+
+    def test_report(self, tmp_path, capsys):
+        corpus = self.corpus_with_json_subdir(tmp_path)
+        out = tmp_path / "report.json"
+        assert main(["report", str(corpus), "-o", str(out)]) == 0
+        assert [r["group"] for r in json.loads(out.read_text())] == ["S4"]
+        assert capsys.readouterr().err == ""
 
 
 class TestReport:

@@ -50,6 +50,26 @@ class TestCyclotomicPolynomial:
                     prod = naive_poly_mul(prod, list(cyclotomic_polynomial(d)))
             assert prod == [-1] + [0] * (n - 1) + [1], n
 
+    @pytest.mark.parametrize("n", [2310, 5040, 9240])
+    def test_divisor_products_at_large_conductors(self, n):
+        # five distinct primes, a high power of 2, and both at once; the
+        # product of Phi_d(x) over d | n must be x^n - 1, checked at x = 2^64
+        x = 1 << 64
+        prod = 1
+        for d in range(1, n + 1):
+            if n % d == 0:
+                phi_d = cyclotomic_polynomial(d)
+                assert len(phi_d) == euler_phi(d) + 1, d
+                value = 0
+                for c in reversed(phi_d):
+                    value = value * x + c
+                prod *= value
+        assert prod == x**n - 1
+
+    def test_euler_phi_counts_units(self):
+        for n in range(1, 2001):
+            assert euler_phi(n) == sum(math.gcd(k, n) == 1 for k in range(1, n + 1)), n
+
     def test_phi_105_has_a_coefficient_minus_2(self):
         # the least n with a coefficient of Phi_n outside {-1, 0, 1}
         assert -2 in cyclotomic_polynomial(105)

@@ -1,3 +1,5 @@
+from math import isqrt
+
 import pytest
 
 from charzero.chartable import build_abelian, build_dihedral, build_symmetric
@@ -128,6 +130,12 @@ class TestPrimePower:
         assert [n for n in range(1, 20) if is_prime_power(n)] == [
             2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19,
         ]
+
+    def test_is_prime_power_against_brute_force(self):
+        limit = 5000
+        primes = [p for p in range(2, limit + 1) if all(p % d for d in range(2, isqrt(p) + 1))]
+        powers = {p**k for p in primes for k in range(1, limit.bit_length()) if p**k <= limit}
+        assert {n for n in range(-1, limit + 1) if is_prime_power(n)} == powers
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_symmetric(self, n, symmetric_tables):
