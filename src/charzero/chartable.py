@@ -21,7 +21,7 @@ from .cyclotomic import (
     euler_phi,
     root_of_unity,
 )
-from .partitions import _mn, partitions_of, z_order
+from .partitions import _column, partitions_of, z_order
 
 __all__ = [
     "ConjClass",
@@ -136,12 +136,13 @@ def build_symmetric(n: int) -> CharacterTable:
         )
         for mu in class_order
     )
-    # partitions_of yields canonical partitions, so the cached recursion runs
-    # without mn_value's checks.
+    # One Murnaghan-Nakayama column per class, transposed into rows; the
+    # labels are canonical partitions, so mn_value's checks are not needed.
     vals = _Values()
+    rows = zip(*[_column(mu) for mu in class_order])
     characters = tuple(
-        Character(name=f"chi{lam}", values=tuple(vals[_mn(lam, mu)] for mu in class_order))
-        for lam in parts
+        Character(name=f"chi{lam}", values=tuple(map(vals.__getitem__, row)))
+        for lam, row in zip(parts, rows)
     )
     meta = TableMetadata(solvable=(n <= 4), simple=(n == 2))
     return CharacterTable(f"S{n}", nfact, classes, characters, meta)
@@ -449,7 +450,13 @@ def table_to_json(t: CharacterTable) -> dict:
             for c in t.classes
         ],
         "characters": [
-            {"name": ch.name, "values": [cyc_to_json(v) for v in ch.values]}
+            {
+                "name": ch.name,
+                "values": [
+                    v.coeffs[0] if v.conductor == 1 and type(v.coeffs[0]) is int else cyc_to_json(v)
+                    for v in ch.values
+                ],
+            }
             for ch in t.characters
         ],
         "metadata": meta,

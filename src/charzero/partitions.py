@@ -1,8 +1,9 @@
 """Integer-partition combinatorics and symmetric-group character values.
 
 Partitions are plain tuples of weakly decreasing positive integers.  Rim-hook
-removal runs on the beta-number (first-column hook length) encoding, and the
-Murnaghan-Nakayama recursion gives exact integer character values.
+removal runs on beta sets as int masks (James-Kerber 2.7), and the
+Murnaghan-Nakayama recursion gives each class's column of exact integer
+character values from the column of the class with its first part removed.
 """
 
 from __future__ import annotations
@@ -75,23 +76,51 @@ def has_hook(lam, l: int) -> bool:
     return any(l in row for row in hook_lengths(lam))
 
 
+def _beta(lam: PartitionT) -> int:
+    # bit lam_i + m - 1 - i for each of the m parts
+    return sum(1 << (p + len(lam) - 1 - i) for i, p in enumerate(lam))
+
+
+def _strips(mask: int, l: int):
+    """(new mask, leg length) for each l-rim-hook of a beta mask: a bead b
+    moves to an empty b - l and the leg is the number of beads between."""
+    between = (1 << (l - 1)) - 1
+    movable = mask & ~(mask << l) & -(1 << l)
+    while movable:
+        b = movable.bit_length() - 1
+        movable ^= 1 << b
+        new = mask ^ (1 << b) ^ (1 << (b - l))
+        while new & 1:  # a bead at 0 is a part that became zero
+            new >>= 1
+        yield new, (mask >> (b - l + 1) & between).bit_count()
+
+
 @lru_cache(maxsize=None)
-def _remove_rim_hooks_cached(lam: PartitionT, l: int):
-    m = len(lam)
-    beta = [lam[i] + (m - 1 - i) for i in range(m)]
-    bset = set(beta)
-    out = []
-    for b in beta:
-        nb = b - l
-        if nb < 0 or nb in bset:
-            continue
-        leg = sum(1 for c in beta if nb < c < b)
-        newbeta = sorted((bset - {b}) | {nb}, reverse=True)
-        parts = tuple(
-            nbj - (m - 1 - j) for j, nbj in enumerate(newbeta) if nbj - (m - 1 - j) > 0
-        )
-        out.append((parts, leg))
-    return tuple(out)
+def _index(k: int) -> dict[int, int]:
+    """Beta mask -> position in partitions_of(k)."""
+    return {_beta(lam): i for i, lam in enumerate(partitions_of(k))}
+
+
+@lru_cache(maxsize=None)
+def _hooks(k: int, l: int) -> tuple[tuple[list[int], list[int]], ...]:
+    """For each lam of k in partitions_of order, the positions in
+    partitions_of(k - l) of lam minus an l-rim-hook of even, then odd, leg."""
+    at = _index(k - l)
+    out = tuple(([], []) for _ in _index(k))
+    for signed, mask in zip(out, _index(k)):
+        for new, leg in _strips(mask, l):
+            signed[leg & 1].append(at[new])
+    return out
+
+
+@lru_cache(maxsize=None)
+def _column(mu: PartitionT) -> tuple[int, ...]:
+    """chi^lam(mu) for every lam of |mu| in partitions_of order; mu canonical."""
+    if not mu:
+        return (1,)
+    col = _column(mu[1:]).__getitem__
+    hooks = _hooks(sum(mu), mu[0])
+    return tuple([sum(map(col, plus)) - sum(map(col, minus)) for plus, minus in hooks])
 
 
 def remove_rim_hooks(lam, l: int) -> list[tuple[PartitionT, int]]:
@@ -99,20 +128,12 @@ def remove_rim_hooks(lam, l: int) -> list[tuple[PartitionT, int]]:
     leg length) pairs; empty if no such strip exists."""
     if l < 1:
         raise ValueError("strip size must be >= 1")
-    return list(_remove_rim_hooks_cached(check_partition(lam), l))
-
-
-@lru_cache(maxsize=None)
-def _mn(lam: PartitionT, mu: PartitionT) -> int:
-    if not mu:
-        return 1
-    total = 0
-    rest = mu[1:]
-    for nlam, leg in _remove_rim_hooks_cached(lam, mu[0]):
-        term = _mn(nlam, rest)
-        if term:
-            total += -term if leg & 1 else term
-    return total
+    out = []
+    for new, leg in _strips(_beta(check_partition(lam)), l):
+        # the part at bead b is the number of empty positions below b
+        beads = [b for b in range(new.bit_length()) if new >> b & 1]
+        out.append((tuple(b - i for i, b in enumerate(beads))[::-1], leg))
+    return out
 
 
 def mn_value(lam, mu) -> int:
@@ -122,7 +143,7 @@ def mn_value(lam, mu) -> int:
     mu = check_partition(sorted(mu, reverse=True))
     if sum(lam) != sum(mu):
         raise ValueError(f"lam and mu must partition the same n: {lam} vs {mu}")
-    return _mn(lam, mu)
+    return _column(mu)[_index(sum(lam))[_beta(lam)]]
 
 
 def degree(lam) -> int:

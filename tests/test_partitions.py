@@ -1,9 +1,13 @@
+import hashlib
 import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from charzero.chartable import build_symmetric, save_table
 from charzero.partitions import (
     conjugate,
     degree,
@@ -68,6 +72,15 @@ def naive_rim_hooks(lam, l):
         leg = len({i for i, _ in skew}) - 1
         results.append((tuple(p for p in mu if p > 0), leg))
     return sorted(results)
+
+
+@lru_cache(maxsize=None)
+def naive_mn(lam, mu):
+    """Oracle: the Murnaghan-Nakayama recursion over naive_rim_hooks, which
+    shares no code with charzero's beta-set masks."""
+    if not mu:
+        return 1
+    return sum((-1) ** leg * naive_mn(nl, mu[1:]) for nl, leg in naive_rim_hooks(lam, mu[0]))
 
 
 class TestPartitionsOf:
@@ -141,6 +154,36 @@ class TestRimHooks:
             for l in range(1, n + 1):
                 assert sorted(remove_rim_hooks(lam, l)) == naive_rim_hooks(lam, l)
 
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_against_naive_enumeration_to_ten(self, n):
+        for lam in partitions_of(n):
+            for l in range(1, n + 1):
+                assert sorted(remove_rim_hooks(lam, l)) == naive_rim_hooks(lam, l)
+
+    def test_removals_that_empty_rows(self):
+        # a bead pushed to position 0 is a part that became zero
+        assert remove_rim_hooks((2, 1, 1), 2) == [((2,), 1)]
+        assert remove_rim_hooks((1, 1), 2) == [((), 1)]
+        assert remove_rim_hooks((1, 1, 1), 3) == [((), 2)]
+        assert sorted(remove_rim_hooks((2, 1, 1), 1)) == [((1, 1, 1), 0), ((2, 1), 0)]
+        assert remove_rim_hooks((2, 2, 1), 3) == [((2,), 1)]
+        assert naive_rim_hooks((2, 2, 1), 3) == [((2,), 1)]
+
+    @pytest.mark.parametrize("n", range(0, 8))
+    def test_strip_longer_than_partition(self, n):
+        for lam in partitions_of(n):
+            for l in range(n + 1, n + 4):
+                assert remove_rim_hooks(lam, l) == []
+                assert not has_hook(lam, l)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="strip size must be >= 1"):
+            remove_rim_hooks((2, 1), 0)
+        with pytest.raises(ValueError, match="parts must be positive"):
+            remove_rim_hooks((2, 0), 1)
+        with pytest.raises(ValueError, match="parts must be weakly decreasing"):
+            remove_rim_hooks((1, 2), 1)
+
 
 class TestMnValue:
     def test_trivial_character(self):
@@ -160,6 +203,28 @@ class TestMnValue:
         with pytest.raises(ValueError):
             mn_value((2, 1), (4,))
 
+    def test_empty_partition(self):
+        assert mn_value((), ()) == 1
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="must partition the same n"):
+            mn_value((2, 1), (2, 2))
+        with pytest.raises(ValueError, match="must partition the same n"):
+            mn_value((), (1,))
+        with pytest.raises(ValueError, match="parts must be positive"):
+            mn_value((2, 1), (3, 0))
+        with pytest.raises(ValueError, match="parts must be weakly decreasing"):
+            mn_value((1, 2), (3,))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_part_order(self, n):
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                value = naive_mn(lam, mu)
+                for order in set(permutations(mu)):
+                    assert mn_value(lam, order) == value
+                    assert mn_value(list(lam), list(order)) == value
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=1, max_value=7), st.randoms(use_true_random=False))
     def test_part_order_irrelevant(self, n, rng):
@@ -178,6 +243,23 @@ class TestMnValue:
         mu = list(rng.choice(parts))
         rng.shuffle(mu)
         assert mn_in_given_order(lam, tuple(mu)) == mn_value(lam, mu)
+
+
+class TestBuildSymmetricOracle:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_table_matches_naive_recursion(self, n):
+        t = build_symmetric(n)
+        parts = partitions_of(n)
+        assert [ch.name for ch in t.characters] == [f"chi{lam}" for lam in parts]
+        assert [[v.as_integer() for v in ch.values] for ch in t.characters] == [
+            [naive_mn(lam, c.label) for c in t.classes] for lam in parts
+        ]
+
+    def test_s12_file_is_pinned(self, tmp_path):
+        save_table(build_symmetric(12), tmp_path / "s12.json")
+        assert hashlib.sha256((tmp_path / "s12.json").read_bytes()).hexdigest() == (
+            "2c2a3b4bb79e7f55e8cbf6edd640a1c83bc12f219f5ba510116ba9513b3bdb2a"
+        )
 
 
 class TestDegree:
