@@ -435,6 +435,15 @@ def validate(t: CharacterTable) -> list[str]:
 # serialization
 
 
+def _encoded(t: CharacterTable, encode) -> list[list]:
+    """Each row through encode, once per value object: keyed on id(v), which t keeps alive."""
+    enc = {}
+    return [
+        [enc[i] if (i := id(v)) in enc else enc.setdefault(i, encode(v)) for v in ch.values]
+        for ch in t.characters
+    ]
+
+
 def table_to_json(t: CharacterTable) -> dict:
     meta = {k: getattr(t.metadata, k) for k in _META_FIELDS if getattr(t.metadata, k) is not None}
     return {
@@ -450,14 +459,7 @@ def table_to_json(t: CharacterTable) -> dict:
             for c in t.classes
         ],
         "characters": [
-            {
-                "name": ch.name,
-                "values": [
-                    v.coeffs[0] if v.conductor == 1 and type(v.coeffs[0]) is int else cyc_to_json(v)
-                    for v in ch.values
-                ],
-            }
-            for ch in t.characters
+            {"name": ch.name, "values": v} for ch, v in zip(t.characters, _encoded(t, cyc_to_json))
         ],
         "metadata": meta,
     }
@@ -556,17 +558,23 @@ def table_from_json(data: dict) -> CharacterTable:
 
 
 def save_table(t: CharacterTable, path) -> None:
-    """Write table_to_json(t) as plain JSON with one class and one character
-    per line, each encoded by json.dumps."""
+    """Write table_to_json(t) as plain JSON, one class and one character per
+    line as json.dumps writes each, dumping each distinct value once."""
+    texts = _encoded(t, lambda v: json.dumps(cyc_to_json(v)))
+    doc = table_to_json(t._replace(characters=()))
+    doc["classes"] = map(json.dumps, doc["classes"])
+    doc["characters"] = (
+        f'{{"name": {json.dumps(ch.name)}, "values": [{", ".join(row)}]}}'
+        for ch, row in zip(t.characters, texts)
+    )
 
     def field(key, value) -> str:
         if key in ("classes", "characters"):
-            value = "[" + ",".join(f"\n  {json.dumps(row)}" for row in value) + "\n ]"
+            value = "[" + ",".join(f"\n  {row}" for row in value) + "\n ]"
         else:
             value = json.dumps(value)
         return f"{json.dumps(key)}: {value}"
 
-    doc = table_to_json(t)
     Path(path).write_text("{\n " + ",\n ".join(field(k, v) for k, v in doc.items()) + "\n}\n")
 
 

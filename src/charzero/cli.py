@@ -207,19 +207,11 @@ def _cmd_analyze(args) -> int:
         print(f"  vanishing classes: {', '.join(info['vanishing_classes']) or '-'}")
         print(f"  non-vanishing classes: {', '.join(info['nonvanishing_classes']) or '-'}")
         print(f"  Camina classes: {', '.join(info['camina_classes']) or '-'}")
-        print(
-            "  central-type characters: "
-            f"{', '.join(info['central_type_characters']) or '-'}"
-        )
+        print(f"  central-type characters: {', '.join(info['central_type_characters']) or '-'}")
         print(f"  k_min = {info['k_min']}, witness: {', '.join(info['witness']) or '-'}")
-        print(
-            f"  Gamma_v: {info['gamma_v_components']} component(s), "
-            f"independence number {info['gamma_v_independence']}"
-        )
-        print(
-            f"  Delta_v: {info['delta_v_components']} component(s), "
-            f"independence number {info['delta_v_independence']}"
-        )
+        for g in ("gamma_v", "delta_v"):
+            ncomp, alpha = info[f"{g}_components"], info[f"{g}_independence"]
+            print(f"  {g.capitalize()}: {ncomp} component(s), independence number {alpha}")
     return 0
 
 
@@ -238,9 +230,7 @@ def _cmd_cover(args) -> int:
             indent=1,
         )
     )
-    if args.max_k is not None and result.k_min > args.max_k:
-        return 1
-    return 0
+    return int(args.max_k is not None and result.k_min > args.max_k)
 
 
 def _cmd_graphs(args) -> int:
@@ -339,9 +329,7 @@ def _cmd_verify(args) -> int:
         for r in rows:
             writer.writerow([r["file"], r["group"], ";".join(r["flags"])])
         sys.stdout.write(buf.getvalue())
-    if had_error:
-        return 2
-    return 1 if any(r["flags"] for r in rows) else 0
+    return 2 if had_error else int(any(r["flags"] for r in rows))
 
 
 def _cmd_report(args) -> int:
@@ -359,9 +347,7 @@ def _cmd_report(args) -> int:
         writer.writerows(rows)
         text = buf.getvalue()
     out.write_text(text)
-    if had_error:
-        return 2
-    return 1 if any(r["flags"] for r in rows) else 0
+    return 2 if had_error else int(any(r["flags"] for r in rows))
 
 
 class _Parser(argparse.ArgumentParser):

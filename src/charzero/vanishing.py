@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property, reduce
-from itertools import compress
-from operator import and_, or_
+from itertools import compress, count
+from operator import and_, attrgetter, or_
 
 from .chartable import CharacterTable
 from .cyclotomic import _prime_factors
@@ -36,14 +36,24 @@ class DataIntegrityError(RuntimeError):
     """A theorem-level equivalence failed on supposedly validated data."""
 
 
+# bin() digits as selector bytes for compress: b"0" -> 0, b"1" -> 1
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def bits(mask: int) -> list[int]:
     """The indices of the set bits of a nonnegative mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    if mask < 0:
+        raise ValueError(f"bits needs a nonnegative mask, got {mask}")
+    return list(compress(count(), bin(mask)[:1:-1].encode().translate(_DIGITS)))
+
+
+def transpose(masks, width: int) -> tuple[int, ...]:
+    """width masks, bit i of mask j set iff bit j of masks[i] is: each mask
+    becomes one bit string (character j is bit j) and zip reads the columns."""
+    if not masks:
+        return (0,) * width
+    rows = [format(mask, f"0{width}b")[::-1] for mask in masks]
+    return tuple(int("".join(col)[::-1], 2) for col in zip(*rows))
 
 
 class ZeroPattern(
@@ -66,22 +76,22 @@ class ZeroPattern(
     @cached_property
     def cols(self) -> tuple[int, ...]:
         """One mask per class: bit r is set iff row r vanishes there."""
-        cols = [0] * self.n_cols
-        for r, row in enumerate(self.rows):
-            for c in bits(row):
-                cols[c] |= 1 << r
-        return tuple(cols)
+        return transpose(self.rows, self.n_cols)
 
 
 def zero_pattern(t: CharacterTable) -> ZeroPattern:
+    # nonzero iff any(coeffs), as in Cyclotomic.is_zero, with no Python frame per entry
     nonlin = tuple(t.nonlinear_indices())
     powers = [1 << c for c in range(len(t.classes))]
+    full = (1 << len(powers)) - 1
+    coeffs = attrgetter("coeffs")
     return ZeroPattern(
         table_ref=t.group_name,
         nonlinear_idx=nonlin,
         class_sizes=tuple(c.size for c in t.classes),
         rows=tuple(
-            sum(compress(powers, [v.is_zero() for v in t.characters[r].values])) for r in nonlin
+            full ^ sum(compress(powers, map(any, map(coeffs, t.characters[r].values))))
+            for r in nonlin
         ),
         row_names=tuple(t.characters[r].name for r in nonlin),
         col_names=tuple(c.name for c in t.classes),

@@ -6,9 +6,11 @@ vanishing-class graph (Delta_v), and the bipartite character-class graph
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import reduce
+from operator import itemgetter, or_
 
 from .chartable import CharacterTable
-from .vanishing import ZeroPattern, bits
+from .vanishing import ZeroPattern, bits, transpose
 
 __all__ = [
     "SimpleGraph",
@@ -43,10 +45,7 @@ class SimpleGraph(namedtuple("SimpleGraph", "vertices adjacency")):
                 raise ValueError("adjacency has a bit beyond the last vertex")
             if nbrs >> i & 1:
                 raise ValueError("no loops allowed")
-        # character j of rows[i] is bit j of adjacency[i]; the matrix is
-        # symmetric iff its columns read the same as its rows
-        rows = [format(nbrs, f"0{n}b")[::-1] for nbrs in adjacency]
-        if len(rows) != n or ["".join(col) for col in zip(*rows)] != rows:
+        if len(adjacency) != n or transpose(adjacency, n) != tuple(adjacency):
             raise ValueError("adjacency must be symmetric, one mask per vertex")
         return super().__new__(cls, vertices, adjacency)
 
@@ -63,12 +62,8 @@ edges: left x right."""
 def _common_zero_graph(names, masks, transposed) -> SimpleGraph:
     """Vertex i -- j iff masks[i] & masks[j]; transposed[b] holds the
     vertices whose mask has bit b."""
-    adjacency = []
-    for i, mask in enumerate(masks):
-        nbrs = 0
-        for b in bits(mask):
-            nbrs |= transposed[b]
-        adjacency.append(nbrs & ~(1 << i))
+    column = transposed.__getitem__
+    adjacency = [reduce(or_, map(column, bits(m)), 0) & ~(1 << i) for i, m in enumerate(masks)]
     return SimpleGraph(tuple(names), tuple(adjacency))
 
 
@@ -80,19 +75,22 @@ def gamma_v(p: ZeroPattern) -> SimpleGraph:
 def delta_v(p: ZeroPattern) -> SimpleGraph:
     """Vertices: vanishing classes; edge iff some character vanishes on both."""
     cols = [c for c, col in enumerate(p.cols) if col]
-    vertex = {c: v for v, c in enumerate(cols)}
-    rows = [sum(1 << vertex[c] for c in bits(row)) for row in p.rows]
-    return _common_zero_graph([p.col_names[c] for c in cols], [p.cols[c] for c in cols], rows)
+    masks = [p.cols[c] for c in cols]
+    return _common_zero_graph([p.col_names[c] for c in cols], masks, transpose(masks, p.n_rows))
 
 
 def theta(t: CharacterTable, p: ZeroPattern) -> BipartiteGraph:
     """Bipartite graph: nonlinear characters vs non-central classes, edges at
     zeros.  Isolated right vertices (non-vanishing classes) are kept."""
     right_cols = [c for c in range(p.n_cols) if p.class_sizes[c] > 1]
+    # itemgetter of one index gives a 1-character string, which map reads alike; of none, raises
+    pick = itemgetter(*right_cols) if right_cols else lambda digits: ()
     return BipartiteGraph(
         left=p.row_names,
         right=tuple(p.col_names[c] for c in right_cols),
-        edges=tuple(tuple(row >> c & 1 == 1 for c in right_cols) for row in p.rows),
+        edges=tuple(
+            tuple(map("1".__eq__, pick(format(row, f"0{p.n_cols}b")[::-1]))) for row in p.rows
+        ),
     )
 
 
@@ -104,10 +102,7 @@ def components(g: SimpleGraph) -> list[list[int]]:
     while unseen:
         comp = frontier = unseen & -unseen
         while frontier:
-            reached = 0
-            for v in bits(frontier):
-                reached |= g.adjacency[v]
-            frontier = reached & ~comp
+            frontier = reduce(or_, map(g.adjacency.__getitem__, bits(frontier)), 0) & ~comp
             comp |= frontier
         unseen &= ~comp
         comps.append(bits(comp))

@@ -369,6 +369,45 @@ def test_save_and_load_keep_table_to_json_on_products(factors):
     assert_one_object_per_value(loaded)
 
 
+def reference_save_text(t):
+    """The saved text as json.dumps writes each row of table_to_json(t)."""
+    doc = table_to_json(t)
+
+    def field(key, value):
+        if key in ("classes", "characters"):
+            value = "[" + ",".join(f"\n  {json.dumps(row)}" for row in value) + "\n ]"
+        else:
+            value = json.dumps(value)
+        return f"{json.dumps(key)}: {value}"
+
+    return "{\n " + ",\n ".join(field(k, v) for k, v in doc.items()) + "\n}\n"
+
+
+def saved_text(t):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.json"
+        save_table(t, path)
+        return path.read_text()
+
+
+def assert_same_text(got, want):
+    """Fail at the first differing line: pytest's own diff of two long,
+    similar texts can run for minutes."""
+    if got != want:
+        pairs = zip(got.splitlines(keepends=True) + [""], want.splitlines(keepends=True) + [""])
+        n, (a, b) = next((n, pair) for n, pair in enumerate(pairs) if pair[0] != pair[1])
+        pytest.fail(f"line {n} differs: {a[:200]!r} != {b[:200]!r}")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(HYPOTHESIS_FACTORS), min_size=2, max_size=3))
+def test_saved_text_is_json_dumps_of_each_row_on_products(factors):
+    t = factors[0]
+    for f in factors[1:]:
+        t = direct_product(t, f)
+    assert_same_text(saved_text(t), reference_save_text(t))
+
+
 class TestValidate:
     def test_rational_value_at_a_huge_conductor_is_quick(self):
         # a zero stored at conductor 1009 must not make validate build Phi_N
@@ -441,6 +480,37 @@ class TestSerialization:
         assert len(lines) == nc + nk + 9
         rows = [json.loads(line.rstrip(",")) for line in lines[4 : 4 + nc] + lines[6 + nc : 6 + nc + nk]]
         assert rows == doc["classes"] + doc["characters"]
+
+    @pytest.mark.parametrize("make", SAVED_TABLES.values(), ids=SAVED_TABLES.keys())
+    def test_saved_text_is_json_dumps_of_each_row(self, make):
+        t = make()
+        assert_same_text(saved_text(t), reference_save_text(t))
+
+    def test_saved_text_with_non_ascii_names(self):
+        t = build_symmetric(3)
+        chars = (t.characters[0]._replace(name="\u03c7\u2081 \"triv\""),) + t.characters[1:]
+        classes = (t.classes[0]._replace(name="\u00e9"),) + t.classes[1:]
+        t = t._replace(group_name="\U0001d516\u2083", classes=classes, characters=chars)
+        text = saved_text(t)
+        assert_same_text(text, reference_save_text(t))
+        assert text.isascii()
+        assert table_from_json(json.loads(text)) == t
+
+    def test_saved_text_with_unshared_equal_values(self):
+        # every entry its own object, and the zeros stored at conductor 5
+        t = fixture_table("a5")
+        chars = tuple(
+            ch._replace(values=tuple(
+                Cyclotomic(5, [0, 0, 0, 0]) if v.is_zero() else Cyclotomic(v.conductor, v.coeffs)
+                for v in ch.values
+            ))
+            for ch in t.characters
+        )
+        copy = t._replace(characters=chars)
+        assert len({id(v) for ch in chars for v in ch.values}) == len(t.classes) ** 2
+        assert table_to_json(copy) == table_to_json(t)
+        assert_same_text(saved_text(copy), reference_save_text(copy))
+        assert_same_text(saved_text(copy), saved_text(t))
 
     def test_round_trip(self, tmp_path):
         t = build_dihedral(8)

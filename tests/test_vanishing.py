@@ -1,10 +1,12 @@
 from math import isqrt
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from charzero.chartable import build_abelian, build_dihedral, build_symmetric
 from charzero.vanishing import (
     DataIntegrityError,
+    bits,
     burnside_check,
     camina_classes,
     central_type_characters,
@@ -21,6 +23,45 @@ def flip(pattern, r, c):
     rows = list(pattern.rows)
     rows[r] ^= 1 << c
     return pattern._replace(rows=tuple(rows))
+
+
+def bits_by_lowest_bit(mask):
+    """The set-bit loop bits() replaced: it peels off the lowest set bit."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+# dense masks of any width up to 1100 bits, and sparse ones as sets of positions
+MASKS = st.integers(min_value=0, max_value=2**1100) | st.sets(
+    st.integers(min_value=0, max_value=1100)
+).map(lambda positions: sum(1 << b for b in positions))
+
+
+class TestBits:
+    @settings(max_examples=300, deadline=None)
+    @given(MASKS)
+    @example(0)
+    @example(1)
+    @example(2**700 - 1)
+    @example(1 << 700)
+    @example(1 << 1023 | 1)
+    def test_matches_lowest_bit_loop(self, mask):
+        assert bits(mask) == bits_by_lowest_bit(mask)
+
+    def test_wide_masks_are_covered(self):
+        assert bits(2**700 - 1) == list(range(700))
+        assert bits(1 << 700 | 5) == [0, 2, 700]
+
+    @given(st.integers(max_value=-1))
+    @example(-1)
+    @example(-(2**700))
+    def test_negative_mask_is_a_value_error(self, mask):
+        with pytest.raises(ValueError, match="nonnegative"):
+            bits(mask)
 
 
 class TestZeroPattern:
