@@ -7,6 +7,7 @@ ingested from the JSON schema and gated by validate().
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -129,9 +130,9 @@ def build_symmetric(n: int) -> CharacterTable:
     nfact = math.factorial(n)
     classes = tuple(
         ConjClass(
-            name=f"g{mu}" if mu else "g()",
+            name=f"g{mu}",
             size=nfact // z_order(mu),
-            element_order=math.lcm(*mu) if mu else 1,
+            element_order=math.lcm(*mu),
             label=mu,
         )
         for mu in class_order
@@ -149,51 +150,40 @@ def build_symmetric(n: int) -> CharacterTable:
 
 
 def build_dihedral(m: int) -> CharacterTable:
-    """Character table of the dihedral group D_{2m} of order 2m, m >= 3."""
+    """Character table of the dihedral group D_{2m} = <x, s> of order 2m,
+    m >= 3, evaluated at one representative x^j or s*x^k per class."""
     if m < 3:
         raise ValueError("build_dihedral requires m >= 3")
     order = 2 * m
+    even = m % 2 == 0
+    # one representative per class: x^j for j in rot_js, then s*x^k for k in refl_ks
+    rot_js = [0] + [m // 2] * even + list(range(1, (m + 1) // 2))
+    refl_ks = range(1 + even)
+    refl_names = ("refl_even", "refl_odd") if even else ("refl",)
+    classes = [
+        ConjClass(f"x^{j}" if j else "e", 1 if 2 * j % m == 0 else 2, m // math.gcd(m, j))
+        for j in rot_js
+    ] + [ConjClass(name, m // len(refl_ks), 2) for name in refl_names]
+
     vals = _Values()
     zeta = [root_of_unity(m, k) for k in range(m)]
     # two_cos[k] = zeta^k + zeta^-k = 2cos(2 pi k/m); chi_i(x^j) = two_cos[i*j % m]
     two_cos = [vals.intern(zeta[k] + zeta[-k]) for k in range(m)]
-
-    def rot_order(j: int) -> int:
-        return m // math.gcd(m, j) if j else 1
-
-    classes = [ConjClass("e", 1, 1)]
-    if m % 2 == 0:
-        # e, x^(m/2), pairs {x^j, x^-j}, two reflection classes
-        classes.append(ConjClass(f"x^{m // 2}", 1, 2))
-        for j in range(1, m // 2):
-            classes.append(ConjClass(f"x^{j}", 2, rot_order(j)))
-        classes.append(ConjClass("refl_even", m // 2, 2))
-        classes.append(ConjClass("refl_odd", m // 2, 2))
-        refl_cols = 2
-        rot_js = [0, m // 2] + list(range(1, m // 2))
-    else:
-        for j in range(1, (m + 1) // 2):
-            classes.append(ConjClass(f"x^{j}", 2, rot_order(j)))
-        classes.append(ConjClass("refl", m, 2))
-        refl_cols = 1
-        rot_js = [0] + list(range(1, (m + 1) // 2))
-
-    characters = []
-    if m % 2 == 0:
-        for a in (1, -1):
-            for b in (1, -1):
-                row = [vals[a**j] for j in rot_js] + [vals[b], vals[a * b]]
-                characters.append(Character(f"lin[{a},{b}]", tuple(row)))
-        n_nonlin = m // 2 - 1
-    else:
-        for b in (1, -1):
-            row = [vals[1]] * len(rot_js) + [vals[b]]
-            characters.append(Character(f"lin[{b}]", tuple(row)))
-        n_nonlin = (m - 1) // 2
-
-    for i in range(1, n_nonlin + 1):
-        row = [two_cos[i * j % m] for j in rot_js] + [vals[0]] * refl_cols
-        characters.append(Character(f"chi_{i}", tuple(row)))
+    # a linear character sends x to a = +-1 (-1 only for even m) and s to b,
+    # so s*x^k to b*a^k; chi_i vanishes on the reflections
+    characters = [
+        Character(
+            f"lin[{a},{b}]" if even else f"lin[{b}]",
+            tuple([vals[a**j] for j in rot_js] + [vals[b * a**k] for k in refl_ks]),
+        )
+        for a in (1, -1)[: 1 + even]
+        for b in (1, -1)
+    ] + [
+        Character(
+            f"chi_{i}", tuple([two_cos[i * j % m] for j in rot_js] + [vals[0]] * len(refl_ks))
+        )
+        for i in range(1, (m + 1) // 2)
+    ]
 
     is_2power = m & (m - 1) == 0
     meta = TableMetadata(
@@ -209,10 +199,7 @@ def build_cyclic(n: int) -> CharacterTable:
     """Cyclic group C_n; all characters linear with root-of-unity values."""
     if n < 1:
         raise ValueError("build_cyclic requires n >= 1")
-    classes = tuple(
-        ConjClass("e" if k == 0 else f"x^{k}", 1, n // math.gcd(n, k) if k else 1)
-        for k in range(n)
-    )
+    classes = tuple(ConjClass(f"x^{k}" if k else "e", 1, n // math.gcd(n, k)) for k in range(n))
     vals = _Values()
     zeta = [vals.intern(root_of_unity(n, e)) for e in range(n)]
     characters = tuple(
@@ -233,20 +220,11 @@ def build_abelian(invariant_factors: list[int]) -> CharacterTable:
     factors = list(invariant_factors)
     if any(f < 2 for f in factors):
         raise ValueError("invariant factors must be >= 2")
-    if not factors:
-        return build_cyclic(1)
-    table = build_cyclic(factors[0])
-    for f in factors[1:]:
-        table = direct_product(table, build_cyclic(f))
-    name = "x".join(f"C{f}" for f in factors)
-    meta = TableMetadata(
-        solvable=True,
-        nilpotent=True,
-        fitting_height=1,
-        r_value=len(factors),
-        simple=len(factors) == 1 and euler_phi(factors[0]) == factors[0] - 1,
+    product = functools.reduce(direct_product, map(build_cyclic, factors or [1]))
+    meta = product.metadata._replace(
+        r_value=len(factors) or None, simple=bool(product.metadata.simple)
     )
-    return table._replace(group_name=name, metadata=meta)
+    return product._replace(group_name="x".join(f"C{f}" for f in factors or [1]), metadata=meta)
 
 
 def _combine_metadata(a: TableMetadata, b: TableMetadata) -> TableMetadata:
@@ -321,14 +299,25 @@ def _gram_modulus(t: CharacterTable) -> tuple[int, int, int]:
 
 
 def _row_orthogonality(t: CharacterTable) -> list[str]:
-    fails = [
-        f"character {r} value at class {c} is not an algebraic integer"
-        for r, ch in enumerate(t.characters)
-        for c, v in enumerate(ch.values)
-        if not v.is_algebraic_integer()
-    ]
-    if fails:
-        return fails
+    # one check and one image per value object: a table shares one object per distinct value
+    distinct = {id(v): v for ch in t.characters for v in ch.values}
+    exp2 = 2 * math.lcm(*(c.element_order for c in t.classes if c.element_order > 0))
+
+    def fault(v: Cyclotomic) -> str | None:
+        if not v.is_algebraic_integer():
+            return "is not an algebraic integer"
+        if exp2 % v.conductor and v.rational_value() is None:
+            return f"has conductor {v.conductor}, which does not divide {exp2} = 2 * exp(G)"
+        return None
+
+    faults = {i: text for i, v in distinct.items() if (text := fault(v))}
+    if faults:
+        return [
+            f"character {r} value at class {c} {faults[id(v)]}"
+            for r, ch in enumerate(t.characters)
+            for c, v in enumerate(ch.values)
+            if id(v) in faults
+        ]
     n, x, modulus = _gram_modulus(t)
     powers = [1]
     for _ in range(1, n):
@@ -340,13 +329,12 @@ def _row_orthogonality(t: CharacterTable) -> list[str]:
         step = sign * (n // v.conductor)
         return sum(q * powers[e * step % n] for e, q in enumerate(v.coeffs) if q)
 
-    # one image per value object: a table shares one object per distinct value
-    distinct = {id(v): v for ch in t.characters for v in ch.values}
     plus = {i: image(v, 1) for i, v in distinct.items()}
     minus = {i: image(v, -1) for i, v in distinct.items()}
     sizes = [c.size for c in t.classes]
     weighted = [[size * plus[id(v)] for size, v in zip(sizes, ch.values)] for ch in t.characters]
     conjugate = [[minus[id(v)] for v in ch.values] for ch in t.characters]
+    fails = []
     for r1, row in enumerate(weighted):
         for r2 in range(r1, len(weighted)):
             expect = t.order if r1 == r2 else 0
@@ -368,6 +356,11 @@ def validate(t: CharacterTable) -> list[str]:
     - That needs a to be an algebraic integer.  The power basis is an
       integral basis of Z[zeta_n], so a value with a non-integral coefficient
       is not one; it is reported as a failure.
+    - chi(g) is a sum of o(g)-th roots of unity, so it lies in Q(zeta_o(g)),
+      which is Q(zeta_2o(g)).  An irrational value whose conductor does not
+      divide 2 * exp(G), twice the lcm of the element orders, is reported as
+      a failure before Phi_N is built; so is a value that is not an algebraic
+      integer.  Rational values are exempt at any conductor.
     - Column orthogonality adds nothing on a square table:
       X C X^H = |G| I gives X^H X = |G| C^-1."""
     fails: list[str] = []

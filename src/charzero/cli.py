@@ -261,11 +261,12 @@ def _collect_paths(paths) -> list[Path]:
     return sorted(set(files))
 
 
-def _table_rows(files, row, error_row) -> tuple[list[dict], bool]:
+def _table_rows(files, row, error_row) -> tuple[list[dict], int]:
     """row(file, analysis) per file, or error_row(file, table or None, flag)
     with one `error: <file>: <Type>: <message>` line when the table fails to
     load or validate ("load-error", the LoadError's text) or its row raises
-    ("analysis-error").  Returns the rows and whether any table failed."""
+    ("analysis-error").  Returns the rows and the exit code: 2 if any table
+    failed, else 1 if any row has flags, else 0."""
     rows, failed = [], False
     for f in files:
         table = None
@@ -278,7 +279,7 @@ def _table_rows(files, row, error_row) -> tuple[list[dict], bool]:
             print(f"error: {text}", file=sys.stderr)
             rows.append(error_row(f, table, "load-error" if table is None else "analysis-error"))
             failed = True
-    return rows, failed
+    return rows, 2 if failed else int(any(r["flags"] for r in rows))
 
 
 def _report_row(f, a: TableAnalysis) -> dict:
@@ -314,7 +315,7 @@ def _cmd_verify(args) -> int:
     files = _collect_paths(args.paths)
     if not files:
         raise ValueError("no input files")
-    rows, had_error = _table_rows(
+    rows, code = _table_rows(
         files,
         lambda f, a: {"file": str(f), "group": a.table.group_name, "flags": a.flags(checks)},
         lambda f, t, flag: {"file": str(f), "group": t.group_name if t else "", "flags": [flag]},
@@ -329,14 +330,14 @@ def _cmd_verify(args) -> int:
         for r in rows:
             writer.writerow([r["file"], r["group"], ";".join(r["flags"])])
         sys.stdout.write(buf.getvalue())
-    return 2 if had_error else int(any(r["flags"] for r in rows))
+    return code
 
 
 def _cmd_report(args) -> int:
     files = _collect_paths([args.dir])
     if not files:
         raise ValueError(f"no tables found in {args.dir}")
-    rows, had_error = _table_rows(files, _report_row, _report_error_row)
+    rows, code = _table_rows(files, _report_row, _report_error_row)
     out = Path(args.output)
     if out.suffix == ".json":
         text = json.dumps(rows, indent=1) + "\n"
@@ -347,7 +348,7 @@ def _cmd_report(args) -> int:
         writer.writerows(rows)
         text = buf.getvalue()
     out.write_text(text)
-    return 2 if had_error else int(any(r["flags"] for r in rows))
+    return code
 
 
 class _Parser(argparse.ArgumentParser):

@@ -137,7 +137,12 @@ def remove_rim_hooks(lam, l: int) -> list[tuple[PartitionT, int]]:
 
 
 def mn_value(lam, mu) -> int:
-    """Exact symmetric-group character value chi^lam at cycle type mu."""
+    """Exact symmetric-group character value chi^lam at cycle type mu.
+
+    One query builds and caches the whole column of mu (p(|mu|) values), the
+    columns of its suffixes and the hook lists behind them: the rest of the
+    column is then free, but one value of a large S_n costs whole columns
+    (n = 40: about 5 s and 130 MB)."""
     lam = check_partition(lam)
     # mu may arrive in any part order (class functions do not care); sort it
     mu = check_partition(sorted(mu, reverse=True))

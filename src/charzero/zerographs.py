@@ -120,8 +120,6 @@ def independence_number(
     n = len(g.vertices)
     if limit is not None and n > limit:
         raise GraphTooLargeError(f"{n} vertices exceeds the exact-solver bound {limit}")
-    if n == 0:
-        return 0, ()
 
     full = (1 << n) - 1
     # complement-graph neighbourhoods

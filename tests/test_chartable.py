@@ -210,6 +210,20 @@ class TestCyclicAbelian:
         factor_lists = ([2], [7], [4], [6], [2, 2], [3, 5], [2, 4, 6])
         assert [f for f in factor_lists if build_abelian(f).metadata.simple] == [[2], [7]]
 
+    @pytest.mark.parametrize(
+        "factors, name, r_value, simple",
+        [([], "C1", None, False), ([7], "C7", 1, True), ([4], "C4", 1, False),
+         ([2, 4, 6], "C2xC4xC6", 3, False)],
+    )
+    def test_abelian_metadata(self, factors, name, r_value, simple):
+        t = build_abelian(factors)
+        m = t.metadata
+        assert (t.group_name, m.r_value, m.simple) == (name, r_value, simple)
+        assert (m.solvable, m.nilpotent) == (True, True)
+        assert m.fitting_height == (1 if factors else None)
+        if len(factors) < 2:
+            assert table_to_json(t) == table_to_json(build_cyclic(factors[0] if factors else 1))
+
 
 class TestDirectProduct:
     def test_with_trivial_factor(self):
@@ -421,6 +435,46 @@ class TestValidate:
         start = time.perf_counter()
         assert validate(bad) == []
         assert time.perf_counter() - start < 1
+
+    @staticmethod
+    def a5_with_zeta_1009():
+        # chi3a's value at 5a replaced by zeta_1009
+        t = fixture_table("a5")
+        chi = t.characters[1]
+        values = chi.values[:3] + (root_of_unity(1009, 1),) + chi.values[4:]
+        characters = (t.characters[0], chi._replace(values=values), *t.characters[2:])
+        return t._replace(characters=characters)
+
+    def test_irrational_value_at_an_unjustified_conductor_fails_by_name(self):
+        # chi(g) lies in Q(zeta_o(g)); A5 has exponent 30, so zeta_1009 cannot
+        # be a value, and validate must say so before building Phi_5045
+        start = time.perf_counter()
+        assert validate(self.a5_with_zeta_1009()) == [
+            "character 1 value at class 3 has conductor 1009, which does not divide 60 = 2 * exp(G)"
+        ]
+        assert time.perf_counter() - start < 1
+
+    def test_conductor_may_be_twice_the_exponent(self):
+        # Q(zeta_3) = Q(zeta_6): C_3 stored at conductor 6 is clean, at 12 it is not
+        t = build_cyclic(3)
+        for n, clean in ((6, True), (12, False)):
+            chars = tuple(
+                ch._replace(values=tuple(v.embed(n) for v in ch.values)) for ch in t.characters
+            )
+            fails = validate(t._replace(characters=chars))
+            assert (fails == []) == clean, fails
+            assert clean or all("conductor 12, which does not divide 6" in f for f in fails)
+
+    def test_conductor_rule_ignores_invalid_element_orders(self):
+        # validate already refuses element orders 0 and -5; the conductor rule
+        # must neither raise on them nor let zeta_1009 through to Phi_N
+        t = self.a5_with_zeta_1009()
+        classes = (t.classes[0], t.classes[1]._replace(element_order=0),
+                   t.classes[2]._replace(element_order=-5), *t.classes[3:])
+        fails = validate(t._replace(classes=classes))
+        assert "class 1 element order 0 does not divide order" in fails
+        assert "class 2 element order -5 does not divide order" in fails
+        assert any("has conductor 1009, which does not divide 10 = 2 * exp(G)" in f for f in fails)
 
     def test_perturbed_value_fails_orthogonality(self):
         t = build_symmetric(4)

@@ -323,6 +323,25 @@ class TestSchemaTypes:
         captured = capsys.readouterr()
         assert captured.out.splitlines()[1] == f"{path},A5," and captured.err == ""
 
+    def test_irrational_values_at_huge_conductors_fail_by_name(self, tmp_path, capsys):
+        # 5a's values in chi3a and chi3b replaced by zeta_1009 and zeta_1013:
+        # the conductor rule refuses them before Phi_N at their lcm is built
+        doc = json.loads((FIXTURE_DIR / "a5.json").read_text())
+        for r, n in ((1, 1009), (2, 1013)):
+            doc["characters"][r]["values"][3] = {
+                "conductor": n, "coeffs": [[0, 1], [1, 1]] + [[0, 1]] * (n - 3)
+            }
+        path = tmp_path / "a5.json"
+        path.write_text(json.dumps(doc))
+        assert path.stat().st_size > 16_000
+        start = time.perf_counter()
+        assert main(["verify", str(path)]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1] == f"{path},,load-error"
+        assert "has conductor 1009, which does not divide 60" in captured.err
+        assert "has conductor 1013" in captured.err and "Traceback" not in captured.err
+
     def test_null_metadata_and_int_labels_load(self, tmp_path):
         doc = json.loads((FIXTURE_DIR / "a5.json").read_text())
         doc["metadata"].update(fitting_height=None, notes="checked by hand")

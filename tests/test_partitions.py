@@ -7,7 +7,13 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charzero.chartable import build_symmetric, save_table
+from charzero.chartable import (
+    build_abelian,
+    build_cyclic,
+    build_dihedral,
+    build_symmetric,
+    save_table,
+)
 from charzero.partitions import (
     conjugate,
     degree,
@@ -19,6 +25,9 @@ from charzero.partitions import (
     sign_of,
     z_order,
 )
+
+
+ABELIAN_FACTOR_LISTS = [[], [2], [3], [4], [12], [2, 2], [2, 4], [2, 4, 6], [3, 3, 3], [5, 7]]
 
 
 def partition_count(n):
@@ -259,6 +268,20 @@ class TestBuildSymmetricOracle:
         save_table(build_symmetric(12), tmp_path / "s12.json")
         assert hashlib.sha256((tmp_path / "s12.json").read_bytes()).hexdigest() == (
             "2c2a3b4bb79e7f55e8cbf6edd640a1c83bc12f219f5ba510116ba9513b3bdb2a"
+        )
+
+    def test_dihedral_cyclic_and_abelian_files_are_pinned(self, tmp_path):
+        # the saved texts of D_6..D_128, C_1..C_24 and ten abelian groups,
+        # concatenated in that order
+        builds = [(build_dihedral, m) for m in range(3, 65)]
+        builds += [(build_cyclic, n) for n in range(1, 25)]
+        builds += [(build_abelian, f) for f in ABELIAN_FACTOR_LISTS]
+        digest = hashlib.sha256()
+        for build, arg in builds:
+            save_table(build(arg), tmp_path / "t.json")
+            digest.update((tmp_path / "t.json").read_bytes())
+        assert digest.hexdigest() == (
+            "7579d52a1c3a53d4620912da8e863399f70283d6b86561ee2aaf27a1e0b7f377"
         )
 
 

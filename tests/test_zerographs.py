@@ -174,6 +174,11 @@ class TestComponents:
 
 
 class TestIndependenceNumber:
+    def test_empty_graph(self):
+        assert independence_number(graph_from_edges(0, [])) == (0, ())
+        # an abelian table has no nonlinear characters, so Gamma_v is empty
+        assert independence_number(gamma_v(zero_pattern(build_abelian([2, 4])))) == (0, ())
+
     def test_edgeless(self):
         a, w = independence_number(graph_from_edges(5, []))
         assert a == 5 and w == (0, 1, 2, 3, 4)
