@@ -2,19 +2,12 @@
 
 Builds and ingests finite-group character tables with exact cyclotomic
 values, extracts their zero patterns, solves the minimum class-cover
-problem, and analyzes the common-zero graphs.
+problem, and analyzes the common-zero graphs; `TableAnalysis` gathers every
+fact the reports give about one table.
 """
 
 from .cyclotomic import Cyclotomic, cyclotomic_polynomial, root_of_unity
-from .partitions import (
-    conjugate,
-    degree,
-    has_hook,
-    hook_lengths,
-    mn_value,
-    partitions_of,
-    remove_rim_hooks,
-)
+from .partitions import mn_value, partitions_of, remove_rim_hooks
 from .chartable import (
     Character,
     CharacterTable,
@@ -41,14 +34,7 @@ from .vanishing import (
     vanishing_classes,
     zero_pattern,
 )
-from .hcover import (
-    CoverResult,
-    NoCoverError,
-    check_cover,
-    conjecture_report,
-    min_cover,
-    pair_cover_product,
-)
+from .hcover import CoverResult, NoCoverError, check_cover, min_cover
 from .zerographs import (
     BipartiteGraph,
     GraphTooLargeError,
@@ -60,5 +46,6 @@ from .zerographs import (
     independence_number,
     theta,
 )
+from .analysis import TableAnalysis
 
 __version__ = "0.1.0"

@@ -282,14 +282,13 @@ def direct_product(a: CharacterTable, b: CharacterTable) -> CharacterTable:
 # validation
 
 
-def _gram_modulus(t: CharacterTable) -> tuple[int, int, int]:
+def _gram_modulus(t: CharacterTable, values) -> tuple[int, int, int]:
     """(N, x, M) for the row-orthogonality check of a table whose values are
-    all algebraic integers: N is the lcm of the conductors of the irrational
-    values (a rational value maps to itself at any N), x = 2^s is
-    the least power of two above B + 1, where B = (sum of |class size|) * L^2
-    + |order| and L is the largest coefficient L1 norm of any value, and
-    M = Phi_N(x)."""
-    values = {id(v): v for ch in t.characters for v in ch.values}.values()
+    all algebraic integers; the collection `values` holds each distinct value
+    of t at least once.  N is the lcm of the conductors of the irrational
+    values (a rational value maps to itself at any N), x = 2^s is the least
+    power of two above B + 1, where B = (sum of |class size|) * L^2 + |order|
+    and L is the largest coefficient L1 norm of any value, and M = Phi_N(x)."""
     n = math.lcm(*(v.conductor for v in values if v.rational_value() is None))
     l1 = max((sum(map(abs, v.coeffs)) for v in values), default=0)
     bound = sum(abs(c.size) for c in t.classes) * l1 * l1 + abs(t.order)
@@ -318,7 +317,7 @@ def _row_orthogonality(t: CharacterTable) -> list[str]:
             for c, v in enumerate(ch.values)
             if id(v) in faults
         ]
-    n, x, modulus = _gram_modulus(t)
+    n, x, modulus = _gram_modulus(t, distinct.values())
     powers = [1]
     for _ in range(1, n):
         powers.append(powers[-1] * x % modulus)

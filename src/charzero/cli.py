@@ -14,9 +14,9 @@ import csv
 import io
 import json
 import sys
-from functools import cached_property
 from pathlib import Path
 
+from .analysis import ALL_CHECKS, TableAnalysis
 from .chartable import (
     CharacterTable,
     SchemaError,
@@ -29,112 +29,8 @@ from .chartable import (
     save_table,
     validate,
 )
-from .hcover import NoCoverError, check_cover, cover_flags, min_cover
-from .vanishing import (
-    DataIntegrityError,
-    burnside_check,
-    camina_classes,
-    central_type_characters,
-    nonvanishing_classes,
-    pattern_to_json,
-    prime_power_check,
-    vanishing_classes,
-    zero_pattern,
-)
-from .zerographs import (
-    bipartite_to_dot,
-    bound_flags,
-    components,
-    delta_v,
-    gamma_v,
-    independence_number,
-    theta,
-    to_dot,
-)
-
-ALL_CHECKS = ("burnside", "mno", "camina", "hmm-components", "covers", "bounds", "witnesses")
-
-
-class TableAnalysis:
-    """The facts every command reports about one table, each computed on
-    first use and at most once."""
-
-    def __init__(self, table: CharacterTable):
-        self.table = table
-
-    @cached_property
-    def pattern(self):
-        return zero_pattern(self.table)
-
-    @cached_property
-    def cover(self):
-        return min_cover(self.pattern)
-
-    @cached_property
-    def gamma(self):
-        return gamma_v(self.pattern)
-
-    @cached_property
-    def delta(self):
-        return delta_v(self.pattern)
-
-    @cached_property
-    def gamma_components(self) -> int:
-        return len(components(self.gamma))
-
-    @cached_property
-    def delta_components(self) -> int:
-        return len(components(self.delta))
-
-    @cached_property
-    def gamma_alpha(self) -> int:
-        return independence_number(self.gamma)[0]
-
-    @cached_property
-    def delta_alpha(self) -> int:
-        return independence_number(self.delta)[0]
-
-    def flags(self, checks) -> list[str]:
-        """`check:text` for every flag the selected checks raise, in a fixed
-        order: burnside, mno, camina, hmm-components, covers, witnesses,
-        bounds."""
-        t, p, m = self.table, self.pattern, self.table.metadata
-        flags: list[str] = []
-        if "burnside" in checks:
-            ok, bad = burnside_check(p)
-            if not ok:
-                flags.append(f"burnside:characters {bad} never vanish")
-        if "mno" in checks:
-            ok, bad = prime_power_check(t, p)
-            if not ok:
-                flags.append(f"mno:characters {bad} have no prime-power-order zero")
-        if "camina" in checks:
-            try:
-                camina_classes(t, p)
-            except DataIntegrityError as exc:
-                flags.append(f"camina:{exc}")
-        if "hmm-components" in checks:
-            ng, nd = self.gamma_components, self.delta_components
-            if ng != nd:
-                flags.append(f"hmm-components:Gamma_v has {ng}, Delta_v has {nd}")
-        cover = None
-        if "covers" in checks or "witnesses" in checks:
-            try:
-                cover = self.cover
-            except NoCoverError as exc:
-                flags.append(f"covers:{exc}")
-        if "covers" in checks and cover is not None:
-            flags += [f"covers:{text}" for _, text in cover_flags(m, cover.k_min)]
-        if "witnesses" in checks and cover is not None:
-            ok, bad = check_cover(p, cover.witness)
-            if not ok:
-                flags.append(f"witnesses:solver witness leaves characters {bad} uncovered")
-        if "bounds" in checks:
-            flags += [
-                f"bounds:{name}" for name in bound_flags(m, self.gamma_alpha, self.gamma_components)
-            ]
-        return flags
-
+from .vanishing import pattern_to_json
+from .zerographs import bipartite_to_dot, to_dot
 
 _BUILDERS = {"sym": build_symmetric, "dihedral": build_dihedral, "cyclic": build_cyclic}
 
@@ -174,20 +70,18 @@ def _load(path) -> TableAnalysis:
 
 def _cmd_analyze(args) -> int:
     a = _load(args.file)
-    t, p = a.table, a.pattern
+    t = a.table
     names = lambda ixs: sorted(t.classes[c].name for c in ixs)
     info = {
         "group": t.group_name,
         "order": t.order,
         "n_classes": len(t.classes),
         "n_characters": len(t.characters),
-        "n_nonlinear": p.n_rows,
-        "vanishing_classes": names(vanishing_classes(p)),
-        "nonvanishing_classes": names(nonvanishing_classes(p)),
-        "camina_classes": names(camina_classes(t, p)),
-        "central_type_characters": sorted(
-            t.characters[r].name for r in central_type_characters(t, p)
-        ),
+        "n_nonlinear": a.pattern.n_rows,
+        "vanishing_classes": names(a.vanishing_classes),
+        "nonvanishing_classes": names(a.nonvanishing_classes),
+        "camina_classes": names(a.camina_classes),
+        "central_type_characters": sorted(t.characters[r].name for r in a.central_type_characters),
         "k_min": a.cover.k_min,
         "witness": [t.classes[c].name for c in a.cover.witness],
         "gamma_v_components": a.gamma_components,
@@ -235,17 +129,17 @@ def _cmd_cover(args) -> int:
 
 def _cmd_graphs(args) -> int:
     a = _load(args.file)
-    t, p = a.table, a.pattern
+    t = a.table
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "pattern.json").write_text(json.dumps(pattern_to_json(p), indent=1) + "\n")
+    (outdir / "pattern.json").write_text(json.dumps(pattern_to_json(a.pattern), indent=1) + "\n")
     if args.dot:
         degrees = {ch.name: f"deg={ch.degree}" for ch in t.characters}
         orders = {c.name: f"ord={c.element_order}" for c in t.classes}
         (outdir / "gamma_v.dot").write_text(to_dot(a.gamma, "gamma_v", degrees))
         (outdir / "delta_v.dot").write_text(to_dot(a.delta, "delta_v", orders))
         (outdir / "theta.dot").write_text(
-            bipartite_to_dot(theta(t, p), "theta", {**degrees, **orders})
+            bipartite_to_dot(a.theta, "theta", {**degrees, **orders})
         )
     return 0
 

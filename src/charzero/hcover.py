@@ -10,18 +10,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .chartable import CharacterTable
-from .vanishing import ZeroPattern, bits, zero_pattern
+from .vanishing import ZeroPattern, bits
 
-__all__ = [
-    "CoverResult",
-    "NoCoverError",
-    "min_cover",
-    "check_cover",
-    "pair_cover_product",
-    "cover_flags",
-    "conjecture_report",
-]
+__all__ = ["CoverResult", "NoCoverError", "min_cover", "check_cover", "cover_flags"]
 
 
 class NoCoverError(RuntimeError):
@@ -69,21 +60,22 @@ def min_cover(p: ZeroPattern) -> CoverResult:
     nodes = 0
     coverage = [col.bit_count() for col in p.cols]
 
-    def branch(left: list[int], chosen: list[int]):
-        nonlocal best, nodes
+    # depth first from a stack of (rows left, classes chosen), so no
+    # function refers to itself and a call leaves no reference cycle
+    stack = [(rows, [])]
+    while stack:
+        left, chosen = stack.pop()
         nodes += 1
         if not left:
             if len(chosen) < len(best):
                 best = sorted(chosen)
-            return
+            continue
         if len(chosen) + _disjoint_lower_bound(left) >= len(best):
-            return
-        # branch on the row with fewest options, columns by coverage count
-        for c in sorted(bits(left[0]), key=lambda c: (-coverage[c], c)):
-            bit = 1 << c
-            branch([r for r in left if not r & bit], chosen + [c])
-
-    branch(rows, [])
+            continue
+        # branch on the row with fewest options, columns by coverage count;
+        # pushed in reverse so that the first column is explored first
+        order = sorted(bits(left[0]), key=lambda c: (-coverage[c], c))
+        stack += [([r for r in left if not r & 1 << c], chosen + [c]) for c in reversed(order)]
     return CoverResult(len(best), tuple(sorted(best)), nodes, root_lb)
 
 
@@ -95,60 +87,14 @@ def check_cover(p: ZeroPattern, cover) -> tuple[bool, list[int]]:
     return (not uncovered, uncovered)
 
 
-def pair_cover_product(
-    cover_a,
-    cover_b,
-    a: CharacterTable,
-    b: CharacterTable,
-) -> list[int]:
-    """Pair covers of the factors into a cover of the direct product: class
-    (i, j) of A x B has index i * #classes(B) + j.  The smaller cover is
-    padded by repeating its last element."""
-    ca, cb = sorted(cover_a), sorted(cover_b)
-    if not ca or not cb:
-        if a.nonlinear_indices() or b.nonlinear_indices():
-            raise ValueError(
-                "cannot pair an empty cover when the product has nonlinear characters"
-            )
-        return []
-    k = max(len(ca), len(cb))
-    ca = ca + [ca[-1]] * (k - len(ca))
-    cb = cb + [cb[-1]] * (k - len(cb))
-    width = len(b.classes)
-    return [ia * width + ib for ia, ib in zip(ca, cb)]
-
-
-def cover_flags(m, k_min: int) -> list[tuple[str, str]]:
-    """The k_min flags a table with metadata m raises, as (report id,
-    verify text) pairs in a fixed order."""
+def cover_flags(m, k_min: int) -> list[str]:
+    """The verify texts of the k_min flags a table with metadata m raises,
+    in a fixed order."""
     k = k_min
     flags = (
-        ("conjecture-1a-counterexample", f"k_min={k}>3 (conjecture 1a counterexample)", k > 3),
-        ("conjecture-1b-counterexample", f"solvable with k_min={k}>2 (conjecture 1b)",
-         m.solvable and k > 2),
-        ("r-bound-violated-bad-data", f"k_min={k} exceeds r(G)={m.r_value}",
-         m.r_value is not None and k > m.r_value),
-        ("simple-h3-violated-bad-data", f"simple group with k_min={k}>3", m.simple and k > 3),
+        (f"k_min={k}>3 (conjecture 1a counterexample)", k > 3),
+        (f"solvable with k_min={k}>2 (conjecture 1b)", m.solvable and k > 2),
+        (f"k_min={k} exceeds r(G)={m.r_value}", m.r_value is not None and k > m.r_value),
+        (f"simple group with k_min={k}>3", m.simple and k > 3),
     )
-    return [(name, text) for name, text, holds in flags if holds]
-
-
-def conjecture_report(corpus: list[CharacterTable]) -> dict:
-    """Per-table minimum covers with the cover_flags ids they raise.  The
-    report only ever records the absence of counterexamples in the corpus."""
-    entries = []
-    for t in corpus:
-        p = zero_pattern(t)
-        result = min_cover(p)
-        entries.append(
-            {
-                "group": t.group_name,
-                "order": t.order,
-                "n_classes": len(t.classes),
-                "n_nonlinear": p.n_rows,
-                "k_min": result.k_min,
-                "witness": [t.classes[c].name for c in result.witness],
-                "flags": [name for name, _ in cover_flags(t.metadata, result.k_min)],
-            }
-        )
-    return {"tables": entries, "clean": not any(e["flags"] for e in entries)}
+    return [text for text, holds in flags if holds]

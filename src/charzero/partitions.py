@@ -11,17 +11,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-__all__ = [
-    "partitions_of",
-    "conjugate",
-    "hook_lengths",
-    "has_hook",
-    "remove_rim_hooks",
-    "mn_value",
-    "degree",
-    "z_order",
-    "sign_of",
-]
+__all__ = ["partitions_of", "remove_rim_hooks", "mn_value", "z_order"]
 
 PartitionT = tuple[int, ...]
 
@@ -39,41 +29,21 @@ def partitions_of(n: int) -> list[PartitionT]:
     """All partitions of n in reverse-lexicographic order: (n) first, (1^n) last."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out: list[PartitionT] = []
-
-    def rec(remaining: int, maxpart: int, prefix: list[int]):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for p in range(min(maxpart, remaining), 0, -1):
-            prefix.append(p)
-            rec(remaining - p, p, prefix)
-            prefix.pop()
-
-    rec(n, n, [])
+    out: list[PartitionT] = [()] if n == 0 else []
+    lam = [n] if n else []
+    while lam:
+        out.append(tuple(lam))
+        # the next one: lower the last part above 1 by one, then refill the
+        # parts after it (the 1s and the unit taken) greedily below that part
+        rest = 1
+        while lam[-1] == 1 and len(lam) > 1:
+            rest += lam.pop()
+        if lam[-1] == 1:
+            break
+        lam[-1] -= 1
+        part = lam[-1]
+        lam += [part] * (rest // part) + ([rest % part] if rest % part else [])
     return out
-
-
-def conjugate(lam) -> PartitionT:
-    lam = check_partition(lam)
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p > j) for j in range(lam[0]))
-
-
-def hook_lengths(lam) -> list[list[int]]:
-    lam = check_partition(lam)
-    conj = conjugate(lam)
-    return [
-        [lam[i] - j + conj[j] - i - 1 for j in range(lam[i])]
-        for i in range(len(lam))
-    ]
-
-
-def has_hook(lam, l: int) -> bool:
-    # A hook of length l exists iff some beta number can drop by l to an
-    # unoccupied spot; equivalent to checking the hook length multiset.
-    return any(l in row for row in hook_lengths(lam))
 
 
 def _beta(lam: PartitionT) -> int:
@@ -151,17 +121,6 @@ def mn_value(lam, mu) -> int:
     return _column(mu)[_index(sum(lam))[_beta(lam)]]
 
 
-def degree(lam) -> int:
-    """Character degree via the hook length formula n!/prod(hooks)."""
-    lam = check_partition(lam)
-    n = sum(lam)
-    prod = 1
-    for row in hook_lengths(lam):
-        for h in row:
-            prod *= h
-    return math.factorial(n) // prod
-
-
 def z_order(mu) -> int:
     """Centralizer order of a permutation of cycle type mu: prod i^m_i * m_i!."""
     mu = check_partition(mu)
@@ -172,9 +131,3 @@ def z_order(mu) -> int:
     for i, m in mult.items():
         z *= i**m * math.factorial(m)
     return z
-
-
-def sign_of(mu) -> int:
-    """Sign of a permutation of cycle type mu: (-1)^(n - #parts)."""
-    mu = check_partition(mu)
-    return -1 if (sum(mu) - len(mu)) & 1 else 1

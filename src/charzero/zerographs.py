@@ -109,6 +109,44 @@ def components(g: SimpleGraph) -> list[list[int]]:
     return comps
 
 
+def _color_order(comp: list[int], cand: int) -> tuple[list[int], list[int]]:
+    """Greedy coloring of the candidate set in the graph of neighbour masks
+    comp: the vertices with their color numbers, colors ascending."""
+    order, colors = [], []
+    color = 0
+    left = cand
+    while left:
+        color += 1
+        avail = left
+        while avail:
+            v = (avail & -avail).bit_length() - 1
+            avail &= ~(1 << v)
+            avail &= ~comp[v]
+            left &= ~(1 << v)
+            order.append(v)
+            colors.append(color)
+    return order, colors
+
+
+def _clique_at_least(comp: list[int], cand: int, need: int) -> bool:
+    """True iff the graph of neighbour masks comp has a clique of `need`
+    vertices inside cand.  A module-level function, not a closure that
+    calls itself, so a call leaves no reference cycle."""
+    if need <= 0:
+        return True
+    order, colors = _color_order(comp, cand)
+    if not order or colors[-1] < need:
+        return False
+    for idx in range(len(order) - 1, -1, -1):
+        if colors[idx] < need:
+            return False
+        v = order[idx]
+        if _clique_at_least(comp, cand & comp[v], need - 1):
+            return True
+        cand &= ~(1 << v)
+    return False
+
+
 def independence_number(
     g: SimpleGraph, limit: int | None = None
 ) -> tuple[int, tuple[int, ...]]:
@@ -125,46 +163,13 @@ def independence_number(
     # complement-graph neighbourhoods
     comp = [full & ~nbrs & ~(1 << i) for i, nbrs in enumerate(g.adjacency)]
 
-    def color_order(cand: int):
-        # greedy coloring of the candidate set; returns vertices with their
-        # color numbers, colors ascending
-        order, colors = [], []
-        color = 0
-        left = cand
-        while left:
-            color += 1
-            avail = left
-            while avail:
-                v = (avail & -avail).bit_length() - 1
-                avail &= ~(1 << v)
-                avail &= ~comp[v]
-                left &= ~(1 << v)
-                order.append(v)
-                colors.append(color)
-        return order, colors
-
-    def clique_at_least(cand: int, need: int) -> bool:
-        if need <= 0:
-            return True
-        order, colors = color_order(cand)
-        if not order or colors[-1] < need:
-            return False
-        for idx in range(len(order) - 1, -1, -1):
-            if colors[idx] < need:
-                return False
-            v = order[idx]
-            if clique_at_least(cand & comp[v], need - 1):
-                return True
-            cand &= ~(1 << v)
-        return False
-
     # the greedy independent set (lowest vertex first, drop its neighbours)
     # bounds alpha from below; the decision search raises the bound to alpha
     alpha, cand = 0, full
     while cand:
         cand &= comp[(cand & -cand).bit_length() - 1]
         alpha += 1
-    while clique_at_least(full, alpha + 1):
+    while _clique_at_least(comp, full, alpha + 1):
         alpha += 1
 
     # lexicographically smallest witness of the optimal size
@@ -173,7 +178,7 @@ def independence_number(
     for v in range(n):
         if len(witness) == alpha:
             break
-        if cand & (1 << v) and clique_at_least(cand & comp[v], alpha - len(witness) - 1):
+        if cand & (1 << v) and _clique_at_least(comp, cand & comp[v], alpha - len(witness) - 1):
             witness.append(v)
             cand &= comp[v]
     return alpha, tuple(witness)

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from charzero import hcover, vanishing, zerographs
 from charzero.chartable import (
     build_abelian,
     build_dihedral,
@@ -65,3 +66,29 @@ def corpus(symmetric_tables, dihedral_tables, fixture_tables, random_products):
     tables += [p for _, _, p in random_products]
     tables += fixture_tables
     return tables
+
+
+LAYER_CALLS = {
+    vanishing: ("zero_pattern",),
+    hcover: ("min_cover",),
+    zerographs: ("gamma_v",),
+}
+
+
+@pytest.fixture()
+def layer_calls(monkeypatch):
+    """Count calls to the layer functions made through their modules, as in
+    `vanishing.zero_pattern(t)`; a module that imported one of them by name
+    would call it uncounted (and, for bench/tracer.py, untraced)."""
+    counts = {}
+    for mod, names in LAYER_CALLS.items():
+        for name in names:
+            orig = getattr(mod, name)
+            counts[name] = 0
+
+            def counted(*args, _orig=orig, _name=name, **kwargs):
+                counts[_name] += 1
+                return _orig(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, counted)
+    return counts

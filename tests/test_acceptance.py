@@ -9,22 +9,16 @@ import shutil
 import time
 
 from charzero.chartable import build_symmetric, save_table, validate
-from charzero.hcover import check_cover, min_cover, pair_cover_product
-from charzero.partitions import (
-    conjugate,
-    degree,
-    has_hook,
-    mn_value,
-    partitions_of,
-    sign_of,
-)
+from charzero.hcover import check_cover, min_cover
+from charzero.partitions import mn_value, partitions_of
 from charzero.vanishing import camina_classes, pattern_to_json, zero_pattern
 from charzero.zerographs import components, delta_v, gamma_v, independence_number
 from charzero.chartable import build_dihedral
 from charzero.cli import main
 
 from conftest import FIXTURE_DIR, FIXTURE_NAMES
-from test_hcover import brute_force_k_min, make_pattern
+from test_hcover import brute_force_k_min, make_pattern, pair_cover_product
+from test_partitions import conjugate, degree, has_hook, sign_of
 from test_zerographs import brute_force_alpha
 
 

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from charzero import cli
+from charzero import vanishing
 from charzero.chartable import SchemaError, load_table, validate
 from charzero.cli import main
 
@@ -438,14 +438,14 @@ def gen_s7_d24_product(root):
 
 def fail_analysis_of(monkeypatch, group):
     """Make the zero-pattern stage raise for the table of that group only."""
-    real = cli.zero_pattern
+    real = vanishing.zero_pattern
 
     def zero_pattern(t):
         if t.group_name == group:
             raise RuntimeError(f"no pattern for {group}")
         return real(t)
 
-    monkeypatch.setattr(cli, "zero_pattern", zero_pattern)
+    monkeypatch.setattr(vanishing, "zero_pattern", zero_pattern)
 
 
 class TestVerifyAnalysisError:
@@ -568,6 +568,6 @@ class TestUnexpectedErrors:
         def boom(_table):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr("charzero.cli.zero_pattern", boom)
+        monkeypatch.setattr("charzero.vanishing.zero_pattern", boom)
         assert main(["analyze", str(FIXTURE_DIR / "a5.json")]) == 2
         assert capsys.readouterr().err == "error: RuntimeError: boom\n"

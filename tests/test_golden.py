@@ -27,7 +27,6 @@ from pathlib import Path
 
 import pytest
 
-from charzero import cli, hcover, vanishing, zerographs
 from charzero.chartable import (
     build_dihedral,
     build_symmetric,
@@ -37,7 +36,6 @@ from charzero.chartable import (
     table_to_json,
 )
 from charzero.cli import main
-from charzero.hcover import conjecture_report
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 FIXTURE_NAMES = ["a5", "a6", "a7", "psl2_7", "m11"]
@@ -90,7 +88,6 @@ def outputs(files: list[str]) -> dict[str, str]:
     working directory."""
     Path("out").mkdir(exist_ok=True)
     per_table = lambda *args: "".join(run([args[0], f, *args[1:]]) for f in files)
-    report = json.dumps(conjecture_report([load_table(f) for f in files]), indent=1) + "\n"
     return {
         "verify.csv": run(["verify", "corpus"]),
         "verify.json": run(["verify", "corpus", "--format", "json"]),
@@ -100,7 +97,6 @@ def outputs(files: list[str]) -> dict[str, str]:
         "analyze.txt": per_table("analyze"),
         "analyze.json": per_table("analyze", "--format", "json"),
         "cover.json": per_table("cover"),
-        "conjecture_report.json": report,
         **graphs_outputs(files),
     }
 
@@ -141,10 +137,7 @@ def test_every_output_has_a_golden_file(golden_run):
 
 
 def test_mutants_trip_every_metadata_flag():
-    text = (GOLDEN_DIR / "conjecture_report.json").read_text()
     verify = (GOLDEN_DIR / "verify.csv").read_text()
-    for flag in ("conjecture-1b-counterexample", "r-bound-violated-bad-data"):
-        assert flag in text
     for flag in (
         "conjecture 1b",
         "exceeds r(G)=1",
@@ -158,33 +151,6 @@ def test_mutants_trip_every_metadata_flag():
 
 # ---------------------------------------------------------------------------
 # one analysis per table
-
-
-LAYER_CALLS = {
-    vanishing: ("zero_pattern",),
-    hcover: ("min_cover",),
-    zerographs: ("gamma_v",),
-}
-
-
-@pytest.fixture()
-def layer_calls(monkeypatch):
-    """Count calls to the layer functions at every name a charzero module
-    calls them by."""
-    counts = {}
-    for mod, names in LAYER_CALLS.items():
-        for name in names:
-            orig = getattr(mod, name)
-            counts[name] = 0
-
-            def counted(*args, _orig=orig, _name=name, **kwargs):
-                counts[_name] += 1
-                return _orig(*args, **kwargs)
-
-            for target in (cli, hcover, vanishing, zerographs):
-                if getattr(target, name, None) is orig:
-                    monkeypatch.setattr(target, name, counted)
-    return counts
 
 
 @pytest.mark.parametrize("command", ["verify", "report"])

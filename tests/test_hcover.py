@@ -4,13 +4,7 @@ import random
 import pytest
 
 from charzero.chartable import build_abelian, build_dihedral, build_symmetric, direct_product
-from charzero.hcover import (
-    NoCoverError,
-    check_cover,
-    conjecture_report,
-    min_cover,
-    pair_cover_product,
-)
+from charzero.hcover import NoCoverError, check_cover, min_cover
 from charzero.vanishing import ZeroPattern, pattern_to_json, zero_pattern
 
 
@@ -26,6 +20,24 @@ def brute_force_k_min(zeros):
             if all(s & r for r in rows):
                 return k
     raise AssertionError("no cover exists")
+
+
+def pair_cover_product(cover_a, cover_b, a, b):
+    """Oracle for product covers: pair covers of the factors into a cover of
+    the direct product, whose class (i, j) has index i * #classes(B) + j.
+    The smaller cover is padded by repeating its last element."""
+    ca, cb = sorted(cover_a), sorted(cover_b)
+    if not ca or not cb:
+        if a.nonlinear_indices() or b.nonlinear_indices():
+            raise ValueError(
+                "cannot pair an empty cover when the product has nonlinear characters"
+            )
+        return []
+    k = max(len(ca), len(cb))
+    ca = ca + [ca[-1]] * (k - len(ca))
+    cb = cb + [cb[-1]] * (k - len(cb))
+    width = len(b.classes)
+    return [ia * width + ib for ia, ib in zip(ca, cb)]
 
 
 def make_pattern(zeros):
@@ -179,19 +191,3 @@ class TestPairCoverProduct:
         wb = list(min_cover(zero_pattern(b)).witness)
         with pytest.raises(ValueError):
             pair_cover_product([], wb, a, b)
-
-
-class TestConjectureReport:
-    def test_dihedral_family_clean(self, dihedral_tables):
-        report = conjecture_report(list(dihedral_tables.values()))
-        assert report["clean"]
-        assert all(e["k_min"] <= 2 for e in report["tables"])
-
-    def test_symmetric_family_clean(self, symmetric_tables):
-        report = conjecture_report(list(symmetric_tables.values()))
-        assert report["clean"]
-
-    def test_simple_fixtures_clean(self, fixture_tables):
-        report = conjecture_report(fixture_tables)
-        assert report["clean"]
-        assert all(e["k_min"] <= 3 for e in report["tables"])

@@ -1,14 +1,19 @@
 """The mask kernels against per-entry definitions, at their edges: tables
 without nonlinear rows, patterns with no or one non-central class, S_20 and
-a table whose equal values (zeros included) are distinct objects."""
+a table whose equal values (zeros included) are distinct objects.  Also: the
+search functions leave no reference cycles behind."""
+
+import gc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from charzero.chartable import build_abelian, build_cyclic, build_symmetric, load_table
 from charzero.cyclotomic import Cyclotomic
+from charzero.hcover import min_cover
+from charzero.partitions import partitions_of
 from charzero.vanishing import ZeroPattern, pattern_to_json, zero_pattern
-from charzero.zerographs import delta_v, gamma_v, theta
+from charzero.zerographs import delta_v, gamma_v, independence_number, theta
 
 from conftest import FIXTURE_DIR
 
@@ -146,3 +151,24 @@ def test_unshared_values_and_zeros():
     p = zero_pattern(copy)
     assert p.rows == brute_rows(copy) == zero_pattern(t).rows
     assert_kernels_match(p)
+
+
+@pytest.mark.parametrize("search", ["independence_number", "min_cover", "partitions_of"])
+def test_one_call_leaves_no_garbage(search):
+    # a closure that calls itself is a reference cycle, which only the cyclic
+    # collector frees; each call on S_8 must leave nothing for it
+    p = zero_pattern(build_symmetric(8))
+    g = gamma_v(p)
+    call = {
+        "independence_number": lambda: independence_number(g),
+        "min_cover": lambda: min_cover(p),
+        "partitions_of": lambda: partitions_of(8),
+    }[search]
+    call()  # caches filled on first use are not garbage
+    gc.disable()
+    try:
+        gc.collect()
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

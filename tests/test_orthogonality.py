@@ -131,7 +131,7 @@ def test_adding_phi_n_of_a_power_of_two_is_flagged(name):
 
 
 def assert_modulus_beats_norm_bound(t):
-    n, x, modulus = _gram_modulus(t)
+    n, x, modulus = _gram_modulus(t, [v for ch in t.characters for v in ch.values])
     assert n == conductor_lcm(t)
     l1 = max(sum(abs(q) for q in v.coeffs) for ch in t.characters for v in ch.values)
     bound = sum(c.size for c in t.classes) * l1 * l1 + t.order

@@ -14,17 +14,7 @@ from charzero.chartable import (
     build_symmetric,
     save_table,
 )
-from charzero.partitions import (
-    conjugate,
-    degree,
-    has_hook,
-    hook_lengths,
-    mn_value,
-    partitions_of,
-    remove_rim_hooks,
-    sign_of,
-    z_order,
-)
+from charzero.partitions import mn_value, partitions_of, remove_rim_hooks, z_order
 
 
 ABELIAN_FACTOR_LISTS = [[], [2], [3], [4], [12], [2, 2], [2, 4], [2, 4, 6], [3, 3, 3], [5, 7]]
@@ -48,6 +38,33 @@ def partition_count(n):
             k += 1
         p[m] = total
     return p[n]
+
+
+# Oracles for mn_value: hook lengths, the hook length formula and the sign
+# twist, on the Young diagram and without beta sets.
+
+
+def conjugate(lam):
+    return tuple(sum(1 for p in lam if p > j) for j in range(lam[0] if lam else 0))
+
+
+def hook_lengths(lam):
+    conj = conjugate(lam)
+    return [[lam[i] - j + conj[j] - i - 1 for j in range(lam[i])] for i in range(len(lam))]
+
+
+def has_hook(lam, l):
+    return any(l in row for row in hook_lengths(lam))
+
+
+def degree(lam):
+    """Character degree by the hook length formula n!/prod(hooks)."""
+    return math.factorial(sum(lam)) // math.prod(h for row in hook_lengths(lam) for h in row)
+
+
+def sign_of(mu):
+    """Sign of a permutation of cycle type mu: (-1)^(n - #parts)."""
+    return -1 if (sum(mu) - len(mu)) & 1 else 1
 
 
 def naive_rim_hooks(lam, l):
