@@ -283,13 +283,14 @@ def direct_product(a: CharacterTable, b: CharacterTable) -> CharacterTable:
 
 
 def _gram_modulus(t: CharacterTable, values) -> tuple[int, int, int]:
-    """(N, x, M) for the row-orthogonality check of a table whose values are
-    all algebraic integers; the collection `values` holds each distinct value
-    of t at least once.  N is the lcm of the conductors of the irrational
-    values (a rational value maps to itself at any N), x = 2^s is the least
-    power of two above B + 1, where B = (sum of |class size|) * L^2 + |order|
-    and L is the largest coefficient L1 norm of any value, and M = Phi_N(x)."""
-    n = math.lcm(*(v.conductor for v in values if v.rational_value() is None))
+    """(N, x, M) for the row-orthogonality check of t, whose values have
+    integer coefficients like every Cyclotomic; the collection `values` holds
+    each distinct value of t at least once.  N is the lcm of the conductors of
+    the irrational values (a rational value maps to itself at any N), x = 2^s
+    is the least power of two above B + 1, where B = (sum of |class size|) *
+    L^2 + |order| and L is the largest coefficient L1 norm of any value, and
+    M = Phi_N(x)."""
+    n = math.lcm(*(v.conductor for v in values if v.as_integer() is None))
     l1 = max((sum(map(abs, v.coeffs)) for v in values), default=0)
     bound = sum(abs(c.size) for c in t.classes) * l1 * l1 + abs(t.order)
     s = (bound + 1).bit_length()
@@ -302,17 +303,11 @@ def _row_orthogonality(t: CharacterTable) -> list[str]:
     distinct = {id(v): v for ch in t.characters for v in ch.values}
     exp2 = 2 * math.lcm(*(c.element_order for c in t.classes if c.element_order > 0))
 
-    def fault(v: Cyclotomic) -> str | None:
-        if not v.is_algebraic_integer():
-            return "is not an algebraic integer"
-        if exp2 % v.conductor and v.rational_value() is None:
-            return f"has conductor {v.conductor}, which does not divide {exp2} = 2 * exp(G)"
-        return None
-
-    faults = {i: text for i, v in distinct.items() if (text := fault(v))}
+    faults = {i for i, v in distinct.items() if exp2 % v.conductor and v.as_integer() is None}
     if faults:
         return [
-            f"character {r} value at class {c} {faults[id(v)]}"
+            f"character {r} value at class {c} has conductor {v.conductor}, "
+            f"which does not divide {exp2} = 2 * exp(G)"
             for r, ch in enumerate(t.characters)
             for c, v in enumerate(ch.values)
             if id(v) in faults
@@ -352,14 +347,14 @@ def validate(t: CharacterTable) -> list[str]:
     - Let a be a Gram entry minus |G| delta; each conjugate of a is at most B
       in absolute value.  If a != 0 maps to 0, M divides the nonzero integer
       N(a), yet |N(a)| <= B^phi(N) < (x-1)^phi(N) <= M.  So a = 0.
-    - That needs a to be an algebraic integer.  The power basis is an
-      integral basis of Z[zeta_n], so a value with a non-integral coefficient
-      is not one; it is reported as a failure.
+    - That needs a to be an algebraic integer, and it is one: every value
+      has integer coefficients, since a non-integral coefficient is refused
+      when the value is made (a SchemaError at load).
     - chi(g) is a sum of o(g)-th roots of unity, so it lies in Q(zeta_o(g)),
       which is Q(zeta_2o(g)).  An irrational value whose conductor does not
       divide 2 * exp(G), twice the lcm of the element orders, is reported as
-      a failure before Phi_N is built; so is a value that is not an algebraic
-      integer.  Rational values are exempt at any conductor.
+      a failure before Phi_N is built.  Rational values are exempt at any
+      conductor.
     - Column orthogonality adds nothing on a square table:
       X C X^H = |G| I gives X^H X = |G| C^-1."""
     fails: list[str] = []

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -252,7 +253,10 @@ class _Parser(argparse.ArgumentParser):
         raise argparse.ArgumentError(None, message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """One parser per process: a parser graph is a reference cycle, so one
+    per main call would leave garbage for the cyclic collector."""
     parser = _Parser(prog="charzero")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,14 +1,15 @@
 """Exact arithmetic in cyclotomic integer rings Z[zeta_N].
 
-Values are polynomials in zeta_N with rational coefficients, reduced modulo
+Values are polynomials in zeta_N with integer coefficients, reduced modulo
 the N-th cyclotomic polynomial (power basis 1, zeta, ..., zeta^(phi(N)-1)).
 The representation is canonical at a fixed conductor, so equality and the
 zero test are decided by comparing coefficient vectors; operands at different
 conductors are embedded into the lcm conductor first.
 
-An integral coefficient is always a plain int; only a non-integral one is a
-Fraction.  Character values are algebraic integers, and the power basis is an
-integral basis of Z[zeta_N], so their coefficients are all ints.
+Every coefficient is a plain int.  Character values are algebraic integers,
+and the power basis is an integral basis of Z[zeta_N], so a value with a
+non-integral coefficient is no character value: it is refused where it is
+made, with a ValueError that says it is not an algebraic integer.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from fractions import Fraction
 from functools import lru_cache
 
 __all__ = [
@@ -93,29 +93,24 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(_spread(poly, n // r))
 
 
-def _coef(c) -> int | Fraction:
-    """c as an int when it is integral, else as a Fraction."""
+def _coef(c) -> int:
+    """c as an int: c must be an int or a rational whose denominator is 1."""
     if type(c) is int:
         return c
-    q = Fraction(c)
-    return q.numerator if q.denominator == 1 else q
+    if getattr(c, "denominator", None) == 1:
+        return operator.index(c.numerator)
+    raise ValueError(f"coefficient {c!r} is not an integer, so not an algebraic integer")
 
 
-def _canon(vec: tuple) -> tuple:
-    """vec with every integral Fraction turned into an int; a vector of ints
-    comes back as it is."""
-    return vec if Fraction not in map(type, vec) else tuple(map(_coef, vec))
-
-
-def _reduce(n: int, poly: list) -> tuple[int | Fraction, ...]:
+def _reduce(n: int, poly: list) -> tuple[int, ...]:
     """The canonical vector of poly(zeta_n): its remainder mod Phi_n, padded
     to phi(n) coefficients."""
     rem = _long_division(poly, cyclotomic_polynomial(n))[1]
-    return _canon(tuple(rem) + (0,) * (euler_phi(n) - len(rem)))
+    return tuple(rem) + (0,) * (euler_phi(n) - len(rem))
 
 
 class Cyclotomic:
-    """An element of Q(zeta_N) in canonical reduced form.
+    """An element of Z[zeta_N] in canonical reduced form.
 
     Immutable; all operations are pure and return new values.  Equality works
     across conductors by embedding into the lcm conductor.
@@ -143,7 +138,7 @@ class Cyclotomic:
         raise AttributeError("Cyclotomic values are immutable")
 
     @classmethod
-    def _make(cls, conductor: int, vec: tuple[int | Fraction, ...]) -> "Cyclotomic":
+    def _make(cls, conductor: int, vec: tuple[int, ...]) -> "Cyclotomic":
         obj = object.__new__(cls)
         object.__setattr__(obj, "conductor", conductor)
         object.__setattr__(obj, "coeffs", vec)
@@ -161,7 +156,7 @@ class Cyclotomic:
     def one(cls) -> "Cyclotomic":
         return cls._make(1, (1,))
 
-    def _sparse(self) -> dict[int, int | Fraction]:
+    def _sparse(self) -> dict[int, int]:
         return {e: c for e, c in enumerate(self.coeffs) if c}
 
     def embed(self, target: int) -> "Cyclotomic":
@@ -177,9 +172,10 @@ class Cyclotomic:
     def _coerce(x) -> "Cyclotomic":
         if isinstance(x, Cyclotomic):
             return x
-        if isinstance(x, (int, Fraction)):
+        try:
             return Cyclotomic.from_rational(x)
-        return NotImplemented
+        except ValueError:
+            return NotImplemented
 
     def _common(self, other: "Cyclotomic"):
         if self.conductor == other.conductor:
@@ -192,8 +188,7 @@ class Cyclotomic:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._common(other)
-        vec = tuple(map(operator.add, a.coeffs, b.coeffs))
-        return Cyclotomic._make(a.conductor, _canon(vec))
+        return Cyclotomic._make(a.conductor, tuple(map(operator.add, a.coeffs, b.coeffs)))
 
     __radd__ = __add__
 
@@ -214,9 +209,9 @@ class Cyclotomic:
         if other is NotImplemented:
             return NotImplemented
         if other.conductor == 1 or self.conductor == 1:
-            # a rational times a reduced vector is still reduced
+            # an integer times a reduced vector is still reduced
             a, q = (self, other.coeffs[0]) if other.conductor == 1 else (other, self.coeffs[0])
-            return Cyclotomic._make(a.conductor, _canon(tuple([q * c for c in a.coeffs])))
+            return Cyclotomic._make(a.conductor, tuple([q * c for c in a.coeffs]))
         a, b = self._common(other)
         # both factors have degree < phi(N), so the product needs no wrap mod N
         poly = [0] * (2 * len(a.coeffs) - 1)
@@ -252,21 +247,9 @@ class Cyclotomic:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def is_algebraic_integer(self) -> bool:
-        """True when every coefficient is an int.  The power basis is an
-        integral basis of Z[zeta_N], so these are exactly the algebraic
-        integers of Q(zeta_N)."""
-        return Fraction not in map(type, self.coeffs)
-
-    def rational_value(self) -> int | Fraction | None:
-        """The value if it lies in Q (an int when it is an integer), else None."""
-        if any(self.coeffs[1:]):
-            return None
-        return self.coeffs[0]
-
     def as_integer(self) -> int | None:
-        q = self.rational_value()
-        return q if type(q) is int else None
+        """The value if it lies in Q, which makes it an int, else None."""
+        return None if any(self.coeffs[1:]) else self.coeffs[0]
 
     def approx(self) -> complex:
         n = self.conductor
@@ -285,7 +268,7 @@ class Cyclotomic:
     __hash__ = None  # equality crosses conductors; values are not hashable
 
     def __repr__(self):
-        q = self.rational_value()
+        q = self.as_integer()
         if q is not None:
             return f"Cyclotomic({q})"
         terms = " + ".join(f"{c}*z{self.conductor}^{e}" for e, c in self._sparse().items())
@@ -300,18 +283,17 @@ def root_of_unity(n: int, k: int) -> Cyclotomic:
 
 
 def cyc_to_json(v: Cyclotomic):
-    """JSON encoding: bare int for rational integers, else the full record."""
+    """JSON encoding: bare int for rational integers, else the full record,
+    each coefficient c written as the pair [c, 1]."""
     coeffs = v.coeffs
-    c = coeffs[0]
-    if type(c) is int and (len(coeffs) == 1 or not any(coeffs[1:])):
-        return c
-    return {
-        "conductor": v.conductor,
-        "coeffs": [[c, 1] if type(c) is int else [c.numerator, c.denominator] for c in coeffs],
-    }
+    if len(coeffs) == 1 or not any(coeffs[1:]):
+        return coeffs[0]
+    return {"conductor": v.conductor, "coeffs": [[c, 1] for c in coeffs]}
 
 
 def cyc_from_json(obj) -> Cyclotomic:
+    """Decode cyc_to_json's encoding.  A coefficient pair [num, den] must
+    hold two integers with den dividing num: [4, 2] is 2, [1, 2] is refused."""
     if isinstance(obj, bool):
         raise ValueError("booleans are not cyclotomic values")
     if isinstance(obj, int):
@@ -321,15 +303,18 @@ def cyc_from_json(obj) -> Cyclotomic:
         if type(n) is not int:
             raise ValueError(f"conductor must be an integer, got {n!r}")
         coeffs = [
-            num if type(num) is int and type(den) is int and den == 1 else _fraction(num, den)
+            num if type(num) is int and type(den) is int and den == 1 else _quotient(num, den)
             for num, den in obj["coeffs"]
         ]
         return Cyclotomic(n, coeffs)
     raise ValueError(f"cannot decode cyclotomic value from {obj!r}")
 
 
-def _fraction(num, den) -> Fraction:
-    # Fraction takes bools as the ints 0 and 1; JSON true is not a number here
-    if type(num) is bool or type(den) is bool:
-        raise ValueError(f"booleans are not coefficients, got [{num!r}, {den!r}]")
-    return Fraction(num, den)
+def _quotient(num, den) -> int:
+    # JSON true is not a number here, though bool is a subclass of int
+    if type(num) is not int or type(den) is not int:
+        raise ValueError(f"coefficients are pairs of integers, got [{num!r}, {den!r}]")
+    q, r = divmod(num, den)
+    if r:
+        raise ValueError(f"coefficient {num}/{den} is not an integer, so not an algebraic integer")
+    return q

@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 import shutil
@@ -171,6 +172,20 @@ class TestVerify:
         main(["verify", str(corpus), "--format", "json"])
         assert capsys.readouterr().out == first
 
+    def test_repeated_calls_leave_no_garbage(self, capsys):
+        # an argparse parser graph is a reference cycle; every call must reuse
+        # one parser and leave nothing for the cyclic collector
+        argv = ["verify", str(FIXTURE_DIR / "a5.json")]
+        assert main(argv) == 0  # caches filled on first use are not garbage
+        gc.disable()
+        try:
+            gc.collect()
+            for _ in range(10):
+                assert main(argv) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestDirectoryScan:
     """A directory argument yields its regular *.json files; a subdirectory
@@ -265,6 +280,7 @@ MALFORMED = {
     "coefficient-three-elements": _set_coefficient([1, 1, 1]),
     "coefficient-bool-numerator": _set_coefficient([True, 1]),
     "coefficient-bool-denominator": _set_coefficient([2, True]),
+    "coefficient-half": _set_coefficient([1, 2]),
     # rows of ints alone are decoded without the per-value checks; these are not
     "value-bool-in-integer-row": lambda doc: doc["characters"][0]["values"].__setitem__(1, True),
     "value-float-in-integer-row": lambda doc: doc["characters"][4]["values"].__setitem__(1, 1.0),
@@ -341,6 +357,24 @@ class TestSchemaTypes:
         assert captured.out.splitlines()[1] == f"{path},,load-error"
         assert "has conductor 1009, which does not divide 60" in captured.err
         assert "has conductor 1013" in captured.err and "Traceback" not in captured.err
+
+    def test_integral_coefficient_pairs_load_as_integers(self, tmp_path, capsys):
+        # every 2 of D8 written as the pair [4, 2], every -1 as [3, -3]
+        path = tmp_path / "d8.json"
+        assert main(["gen", "dihedral", "4", "-o", str(path)]) == 0
+        t = load_table(path)
+        doc = json.loads(path.read_text())
+        pairs = {2: [4, 2], -1: [3, -3]}
+        for ch in doc["characters"]:
+            ch["values"] = [
+                {"conductor": 1, "coeffs": [pairs[v]]} if v in pairs else v for v in ch["values"]
+            ]
+        assert sum(json.dumps(doc).count(json.dumps(pair)) for pair in pairs.values()) > 2
+        path.write_text(json.dumps(doc))
+        loaded = load_table(path)
+        assert loaded == t
+        assert all(type(c) is int for ch in loaded.characters for v in ch.values for c in v.coeffs)
+        assert main(["verify", str(path)]) == 0
 
     def test_null_metadata_and_int_labels_load(self, tmp_path):
         doc = json.loads((FIXTURE_DIR / "a5.json").read_text())

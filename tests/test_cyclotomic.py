@@ -172,7 +172,8 @@ class TestRingAxioms:
         assert abs((a * a.conj()).approx().imag) < 1e-9
 
 
-rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+# integral rationals: a Fraction whose denominator is 1 is a valid coefficient
+rationals = st.integers(min_value=-20, max_value=20).map(Fraction)
 
 
 @st.composite
@@ -191,7 +192,7 @@ class TestScalarProduct:
         padded = Cyclotomic(n, [q] + [0] * (euler_phi(n) - 1))
         assert padded == Cyclotomic.from_rational(q).embed(n)
         expect = padded * v
-        scalars = [q, Cyclotomic.from_rational(q)] + ([int(q)] if q.denominator == 1 else [])
+        scalars = [q, Cyclotomic.from_rational(q), int(q)]
         for s in scalars:
             for got in (s * v, v * s):
                 assert (got.conductor, got.coeffs) == (expect.conductor, expect.coeffs)
@@ -200,6 +201,7 @@ class TestScalarProduct:
 # ---------------------------------------------------------------------------
 # Oracle: a value is (n, phi(n) Fractions); every product is a plain
 # polynomial product reduced mod cyclotomic_polynomial(n) by long division.
+# The operands are integral, so the oracle's Fractions all have denominator 1.
 
 
 def oracle_reduce(n, poly):
@@ -255,14 +257,14 @@ def oracle_conj(a):
 
 def assert_matches(got, want):
     """got equals the oracle value, at the same conductor, and keeps every
-    integral coefficient as an int."""
+    coefficient as an int."""
     assert (got.conductor, got.coeffs) == want
-    assert all(type(c) is int for c in got.coeffs if c == int(c)), got.coeffs
+    assert all(type(c) is int for c in got.coeffs), got.coeffs
 
 
 coefficients = st.one_of(
     st.integers(min_value=-6, max_value=6),
-    st.fractions(min_value=-6, max_value=6, max_denominator=4),
+    st.integers(min_value=-6, max_value=6).map(Fraction),
 )
 
 
@@ -311,16 +313,17 @@ class TestFractionOracle:
     @settings(max_examples=50, deadline=None)
     @given(
         st.integers(min_value=1, max_value=64),
-        st.fractions(min_value=-6, max_value=6, max_denominator=6),
+        st.integers(min_value=-6, max_value=6).map(Fraction),
         st.integers(min_value=-6, max_value=6),
         st.data(),
     )
     def test_mixed_scalars(self, n, q, k, data):
-        # a Fraction scalar times an int vector, an int scalar times a Fraction one
+        # an integral Fraction scalar times an int vector, an int scalar times
+        # a vector built from integral Fractions
         phi = euler_phi(n)
         ints = Cyclotomic(n, data.draw(st.lists(st.integers(-6, 6), min_size=phi, max_size=phi)))
-        halves = Cyclotomic(n, [Fraction(c, 2) for c in ints.coeffs])
-        for scalar, v in ((q, ints), (k, halves), (Fraction(2), halves)):
+        wholes = Cyclotomic(n, [Fraction(2 * c, 2) for c in ints.coeffs])
+        for scalar, v in ((q, ints), (k, wholes), (Fraction(2), wholes)):
             want = oracle_mul((1, (Fraction(scalar),)), oracle(v))
             for got in (scalar * v, v * scalar, Cyclotomic.from_rational(scalar) * v):
                 assert_matches(got, want)
@@ -341,14 +344,30 @@ class TestFractionOracle:
 
     @pytest.mark.parametrize("n", range(1, 65))
     def test_halves_sum_to_ints(self, n):
+        # a half is no algebraic integer, so no way in takes it; two halves
+        # summed to an int before they get in are an ordinary coefficient
         phi = euler_phi(n)
-        half = Cyclotomic(n, [Fraction(1, 2)] * phi)
-        odd = Cyclotomic(n, [Fraction(2 * e + 1, 2) for e in range(phi)])
-        assert_matches(half + half, (n, (Fraction(1),) * phi))
-        assert_matches(half + odd, oracle_add(oracle(half), oracle(odd)))
-        assert_matches(Cyclotomic.from_rational(Fraction(1, 2)) + Fraction(1, 2), (1, (1,)))
-        assert type((half * 2).coeffs[0]) is int and (half - half).is_zero()
-        assert (half + half).is_algebraic_integer() and not half.is_algebraic_integer()
+        whole = Fraction(1, 2) + Fraction(1, 2)
+        assert_matches(Cyclotomic(n, [whole] * phi), (n, (1,) * phi))
+        pairs = {"conductor": n, "coeffs": [[2 * e + 2, 2] for e in range(phi)]}
+        assert_matches(cyc_from_json(pairs), (n, tuple(range(1, phi + 1))))
+        refusals = [
+            lambda: Cyclotomic(n, [Fraction(1, 2)] * phi),
+            lambda: Cyclotomic(n, [Fraction(2 * e + 1, 2) for e in range(phi)]),
+            lambda: Cyclotomic.from_rational(Fraction(1, 2)),
+            lambda: cyc_from_json({"conductor": n, "coeffs": [[1, 2]] * phi}),
+            lambda: cyc_from_json({"conductor": n, "coeffs": [[2 * e + 1, 2] for e in range(phi)]}),
+        ]
+        for make in refusals:
+            with pytest.raises(ValueError, match="not an algebraic integer"):
+                make()
+        # in arithmetic a half is not an operand
+        z = root_of_unity(n, 1)
+        assert z.__add__(Fraction(1, 2)) is NotImplemented
+        assert z.__mul__(Fraction(1, 2)) is NotImplemented
+        with pytest.raises(TypeError):
+            z + Fraction(1, 2)
+        assert z != Fraction(1, 2)
 
 
 class TestJson:
@@ -360,11 +379,14 @@ class TestJson:
         v = root_of_unity(5, 1) + root_of_unity(5, 4)
         assert cyc_from_json(cyc_to_json(v)) == v
 
-    def test_round_trip_rational_noninteger(self):
-        v = Cyclotomic.from_rational(Fraction(3, 2))
-        enc = cyc_to_json(v)
-        assert isinstance(enc, dict)
-        assert cyc_from_json(enc) == v
+    def test_rational_noninteger_is_refused(self):
+        # no Cyclotomic holds 3/2, so there is nothing to round-trip
+        with pytest.raises(ValueError, match="not an algebraic integer"):
+            Cyclotomic.from_rational(Fraction(3, 2))
+        with pytest.raises(ValueError, match="not an algebraic integer"):
+            cyc_from_json({"conductor": 1, "coeffs": [[3, 2]]})
+        assert Cyclotomic.from_rational(3) == Fraction(3)
+        assert Cyclotomic.from_rational(Fraction(3)).coeffs == (3,)
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Row orthogonality in `validate` (one check in Z/Phi_N(2^s)) against the
 exact Cyclotomic sums it replaced, plus the soundness cases of its bound."""
 
+import json
 import math
 import random
 import re
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from charzero.chartable import (
     Character,
+    SchemaError,
     _gram_modulus,
     build_abelian,
     build_dihedral,
@@ -100,16 +102,21 @@ def test_single_coefficient_corruptions_agree_with_oracle(name):
 
 
 def test_half_coefficient_is_rejected(tmp_path, capsys):
-    t = build_dihedral(4)
-    bad = add_to_coefficient(t, 4, 2, 0, Fraction(1, 2))
-    assert any("not an algebraic integer" in f for f in validate(bad))
+    # D8 with 1/2 added to one value, written as the pair [2v + 1, 2]
     path = tmp_path / "d8_half.json"
-    save_table(bad, path)
+    save_table(build_dihedral(4), path)
+    doc = json.loads(path.read_text())
+    values = doc["characters"][4]["values"]
+    values[2] = {"conductor": 1, "coeffs": [[2 * values[2] + 1, 2]]}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="not an algebraic integer"):
+        load_table(path)
     capsys.readouterr()
     assert main(["verify", str(path)]) == 2
     out, err = capsys.readouterr()
-    assert "load-error" in out
-    assert "Traceback" not in err and "not an algebraic integer" in err
+    assert out.splitlines()[1] == f"{path},,load-error"
+    [line] = err.splitlines()
+    assert line.startswith("error:") and "not an algebraic integer" in line
 
 
 def conductor_lcm(t):

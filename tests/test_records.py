@@ -16,7 +16,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():
-    heavy = "{'dataclasses', 'inspect', 'typing'}"
+    heavy = "{'dataclasses', 'inspect', 'typing', 'fractions', 'decimal', 'numbers'}"
     code = f"import sys, charzero.cli; print(sorted({heavy} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run(
