@@ -287,12 +287,12 @@ def _gram_modulus(t: CharacterTable, values) -> tuple[int, int, int]:
     integer coefficients like every Cyclotomic; the collection `values` holds
     each distinct value of t at least once.  N is the lcm of the conductors of
     the irrational values (a rational value maps to itself at any N), x = 2^s
-    is the least power of two above B + 1, where B = (sum of |class size|) *
-    L^2 + |order| and L is the largest coefficient L1 norm of any value, and
-    M = Phi_N(x)."""
+    is the least power of two above B + 1, where B = |G| * (L^2 + 1), L is the
+    largest coefficient L1 norm of any value, and M = Phi_N(x).  B is (sum of
+    class sizes) * L^2 + |G|, as validate checks the sizes sum to |G| first."""
     n = math.lcm(*(v.conductor for v in values if v.as_integer() is None))
     l1 = max((sum(map(abs, v.coeffs)) for v in values), default=0)
-    bound = sum(abs(c.size) for c in t.classes) * l1 * l1 + abs(t.order)
+    bound = t.order * (l1 * l1 + 1)
     s = (bound + 1).bit_length()
     modulus = sum(coef << (s * i) for i, coef in enumerate(cyclotomic_polynomial(n)))
     return n, 1 << s, modulus
@@ -301,7 +301,7 @@ def _gram_modulus(t: CharacterTable, values) -> tuple[int, int, int]:
 def _row_orthogonality(t: CharacterTable) -> list[str]:
     # one check and one image per value object: a table shares one object per distinct value
     distinct = {id(v): v for ch in t.characters for v in ch.values}
-    exp2 = 2 * math.lcm(*(c.element_order for c in t.classes if c.element_order > 0))
+    exp2 = 2 * math.lcm(*(c.element_order for c in t.classes))
 
     faults = {i for i, v in distinct.items() if exp2 % v.conductor and v.as_integer() is None}
     if faults:
@@ -350,6 +350,8 @@ def validate(t: CharacterTable) -> list[str]:
     - That needs a to be an algebraic integer, and it is one: every value
       has integer coefficients, since a non-integral coefficient is refused
       when the value is made (a SchemaError at load).
+    - The rule below and the Gram check run only if the class claims hold,
+      o(g) | |G|/|g^G| (as g is in C_G(g)) among them, and rows are full.
     - chi(g) is a sum of o(g)-th roots of unity, so it lies in Q(zeta_o(g)),
       which is Q(zeta_2o(g)).  An irrational value whose conductor does not
       divide 2 * exp(G), twice the lcm of the element orders, is reported as
@@ -373,10 +375,17 @@ def validate(t: CharacterTable) -> list[str]:
     if sum(c.size for c in t.classes) != t.order:
         fails.append("class sizes do not sum to the group order")
     for i, c in enumerate(t.classes):
-        if c.size < 1 or t.order % c.size != 0:
+        size_divides = c.size >= 1 and t.order % c.size == 0
+        if not size_divides:
             fails.append(f"class {i} size {c.size} does not divide order")
         if c.element_order < 1 or t.order % c.element_order != 0:
             fails.append(f"class {i} element order {c.element_order} does not divide order")
+        elif size_divides and t.order // c.size % c.element_order:
+            fails.append(
+                f"class {i} element order {c.element_order} does not divide "
+                f"centraliser order {t.order // c.size}"
+            )
+    claims_hold = not fails
 
     if len(t.characters) != nc:
         fails.append(f"{len(t.characters)} characters vs {nc} classes")
@@ -399,11 +408,6 @@ def validate(t: CharacterTable) -> list[str]:
         if n_linear == 0 or t.order % n_linear != 0:
             fails.append(f"number of linear characters {n_linear} does not divide order")
 
-    if any(len(ch.values) != nc for ch in t.characters):
-        return fails  # orthogonality is meaningless with ragged rows
-
-    fails += _row_orthogonality(t)
-
     m = t.metadata
     if m.nilpotent and m.fitting_height is not None and m.fitting_height != 1:
         fails.append("nilpotent table must have fitting_height 1")
@@ -415,6 +419,9 @@ def validate(t: CharacterTable) -> list[str]:
         fails.append("fitting_height must be a positive integer")
     if m.r_value is not None and m.r_value < 1:
         fails.append("r_value must be a positive integer")
+
+    if claims_hold and all(len(ch.values) == nc for ch in t.characters):
+        fails += _row_orthogonality(t)
     return fails
 
 

@@ -1,6 +1,7 @@
 """The three zero graphs: common-zero graph on characters (Gamma_v), the
 vanishing-class graph (Delta_v), and the bipartite character-class graph
-(Theta), with exact independence numbers and the metadata-gated bound checks.
+(Theta), with the metadata-gated bound checks and exact independence numbers,
+each with the independent set its own search found.
 """
 
 from __future__ import annotations
@@ -128,31 +129,31 @@ def _color_order(comp: list[int], cand: int) -> tuple[list[int], list[int]]:
     return order, colors
 
 
-def _clique_at_least(comp: list[int], cand: int, need: int) -> bool:
-    """True iff the graph of neighbour masks comp has a clique of `need`
-    vertices inside cand.  A module-level function, not a closure that
-    calls itself, so a call leaves no reference cycle."""
+def _clique_at_least(comp: list[int], cand: int, need: int) -> list[int] | None:
+    """A clique of `need` vertices inside cand in the graph of neighbour masks
+    comp, as a vertex list, or None.  A module-level function, not a closure
+    that calls itself, so a call leaves no reference cycle."""
     if need <= 0:
-        return True
+        return []
     order, colors = _color_order(comp, cand)
-    if not order or colors[-1] < need:
-        return False
     for idx in range(len(order) - 1, -1, -1):
         if colors[idx] < need:
-            return False
+            return None
         v = order[idx]
-        if _clique_at_least(comp, cand & comp[v], need - 1):
-            return True
+        clique = _clique_at_least(comp, cand & comp[v], need - 1)
+        if clique is not None:
+            return clique + [v]
         cand &= ~(1 << v)
-    return False
+    return None
 
 
 def independence_number(
     g: SimpleGraph, limit: int | None = None
 ) -> tuple[int, tuple[int, ...]]:
     """Exact maximum independent set: max clique on the complement via
-    branch-and-bound with a greedy coloring bound.  The witness is the
-    lexicographically smallest maximum independent set.
+    branch-and-bound with a greedy coloring bound.  The witness, sorted, is
+    the set the last successful decision search returned, or the greedy set
+    if none succeeded; only the greedy set is sure to be lexicographically least.
     `limit` and GraphTooLargeError are kept only because bench/make_golden.py
     passes limit=10**6; nothing in charzero passes a limit."""
     n = len(g.vertices)
@@ -164,24 +165,15 @@ def independence_number(
     comp = [full & ~nbrs & ~(1 << i) for i, nbrs in enumerate(g.adjacency)]
 
     # the greedy independent set (lowest vertex first, drop its neighbours)
-    # bounds alpha from below; the decision search raises the bound to alpha
-    alpha, cand = 0, full
+    # is the first witness; each search for one vertex more may replace it
+    best, cand = [], full
     while cand:
-        cand &= comp[(cand & -cand).bit_length() - 1]
-        alpha += 1
-    while _clique_at_least(comp, full, alpha + 1):
-        alpha += 1
-
-    # lexicographically smallest witness of the optimal size
-    witness: list[int] = []
-    cand = full
-    for v in range(n):
-        if len(witness) == alpha:
-            break
-        if cand & (1 << v) and _clique_at_least(comp, cand & comp[v], alpha - len(witness) - 1):
-            witness.append(v)
-            cand &= comp[v]
-    return alpha, tuple(witness)
+        v = (cand & -cand).bit_length() - 1
+        best.append(v)
+        cand &= comp[v]
+    while (larger := _clique_at_least(comp, full, len(best) + 1)) is not None:
+        best = larger
+    return len(best), tuple(sorted(best))
 
 
 def bound_flags(m, alpha: int, ncomp: int) -> list[str]:

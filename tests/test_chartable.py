@@ -466,15 +466,44 @@ class TestValidate:
             assert clean or all("conductor 12, which does not divide 6" in f for f in fails)
 
     def test_conductor_rule_ignores_invalid_element_orders(self):
-        # validate already refuses element orders 0 and -5; the conductor rule
-        # must neither raise on them nor let zeta_1009 through to Phi_N
+        # the conductor rule and the Gram check wait for the class claims:
+        # element orders 0 and -5 are the only failures, zeta_1009 is not named
         t = self.a5_with_zeta_1009()
         classes = (t.classes[0], t.classes[1]._replace(element_order=0),
                    t.classes[2]._replace(element_order=-5), *t.classes[3:])
-        fails = validate(t._replace(classes=classes))
-        assert "class 1 element order 0 does not divide order" in fails
-        assert "class 2 element order -5 does not divide order" in fails
-        assert any("has conductor 1009, which does not divide 10 = 2 * exp(G)" in f for f in fails)
+        assert validate(t._replace(classes=classes)) == [
+            "class 1 element order 0 does not divide order",
+            "class 2 element order -5 does not divide order",
+        ]
+
+    @pytest.mark.parametrize(
+        "cls,order,fails",
+        [
+            # 2a: 15 elements, centraliser order 4; 6 divides 60 but not 4
+            (1, 6, ["class 1 element order 6 does not divide centraliser order 4"]),
+            (1, 4, []),
+            # 3a: 20 elements, centraliser order 3
+            (2, 5, ["class 2 element order 5 does not divide centraliser order 3"]),
+            # an order that does not divide |G| gets one text, not two
+            (2, 7, ["class 2 element order 7 does not divide order"]),
+        ],
+        ids=["2a-order-6", "2a-order-4", "3a-order-5", "3a-order-7"],
+    )
+    def test_element_order_divides_centraliser_order(self, cls, order, fails):
+        t = fixture_table("a5")
+        classes = list(t.classes)
+        classes[cls] = classes[cls]._replace(element_order=order)
+        assert validate(t._replace(classes=tuple(classes))) == fails
+
+    def test_centraliser_rule_skips_a_size_that_does_not_divide(self):
+        # 2a given 14 elements: its size fails, the sizes no longer sum to 60,
+        # and no centraliser order is computed from it
+        t = fixture_table("a5")
+        classes = (t.classes[0], t.classes[1]._replace(size=14), *t.classes[2:])
+        assert validate(t._replace(classes=classes)) == [
+            "class sizes do not sum to the group order",
+            "class 1 size 14 does not divide order",
+        ]
 
     def test_perturbed_value_fails_orthogonality(self):
         t = build_symmetric(4)

@@ -1,14 +1,24 @@
+import copy
 import gc
+import io
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from charzero import vanishing
 from charzero.chartable import SchemaError, load_table, validate
 from charzero.cli import main
+from charzero.cyclotomic import cyc_to_json, root_of_unity
 
 from conftest import FIXTURE_DIR, FIXTURE_NAMES
 
@@ -358,6 +368,29 @@ class TestSchemaTypes:
         assert "has conductor 1009, which does not divide 60" in captured.err
         assert "has conductor 1013" in captured.err and "Traceback" not in captured.err
 
+    def test_element_orders_that_do_not_divide_the_order_stop_validate(self, tmp_path):
+        # 5a and 5b claim orders 5 * 1009 and 5 * 1013 and hold zeta_1009 and
+        # zeta_1013, so the conductor rule passes; validate must not build
+        # Phi_N at N = 5110585.  A subprocess, so that a hang fails the test.
+        doc = json.loads((FIXTURE_DIR / "a5.json").read_text())
+        for (r, c), n in {(1, 3): 1009, (2, 4): 1013}.items():
+            doc["classes"][c]["element_order"] = 5 * n
+            doc["characters"][r]["values"][c] = cyc_to_json(root_of_unity(n, 1))
+        path = tmp_path / "a5.json"
+        path.write_text(json.dumps(doc))
+        assert path.stat().st_size > 16_000
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        run = subprocess.run(
+            [sys.executable, "-m", "charzero.cli", "verify", str(path)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=10,
+        )
+        assert run.returncode == 2
+        assert run.stderr == (
+            f"error: {path}: SchemaError: validation failed: "
+            "class 3 element order 5045 does not divide order; "
+            "class 4 element order 5065 does not divide order\n"
+        )
+
     def test_integral_coefficient_pairs_load_as_integers(self, tmp_path, capsys):
         # every 2 of D8 written as the pair [4, 2], every -1 as [3, -3]
         path = tmp_path / "d8.json"
@@ -392,7 +425,18 @@ def _set_value_to_7(path):
     path.write_text(json.dumps(doc))
 
 
-CORRUPT = {"value-7": _set_value_to_7, "truncated-json": lambda path: path.write_text("{")}
+def _set_order_of_2a_to_6(path):
+    # 2a has 15 elements, so its centraliser has order 4
+    doc = json.loads((FIXTURE_DIR / "a5.json").read_text())
+    doc["classes"][1]["element_order"] = 6
+    path.write_text(json.dumps(doc))
+
+
+CORRUPT = {
+    "value-7": _set_value_to_7,
+    "element-order-above-centraliser": _set_order_of_2a_to_6,
+    "truncated-json": lambda path: path.write_text("{"),
+}
 # the argv of each command that reads a table file, given that file
 READERS = {
     "verify": lambda path, tmp: ["verify", str(path)],
@@ -433,6 +477,66 @@ class TestLoadErrorNamesTheFileOnce:
         assert capsys.readouterr().err.startswith(
             f"error: {path}: SchemaError: validation failed: row orthogonality fails"
         )
+
+
+    def test_centraliser_failure_text(self, tmp_path, capsys):
+        path = tmp_path / "bad_a5.json"
+        _set_order_of_2a_to_6(path)
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: SchemaError: validation failed: "
+            "class 1 element order 6 does not divide centraliser order 4\n"
+        )
+
+
+# one to three nodes of a fixture document are deleted or replaced from here
+PALETTE = [
+    10**400, -1, True, False, None, "", "5a", 0.5, 1e300, [], [1, 2], [[0, 1]], {},
+    *(cyc_to_json(root_of_unity(n, 1)) for n in (3, 7, 12, 1009)),
+]
+MUTATED_COMMANDS = {
+    "verify": lambda path: ["verify", str(path)],
+    "analyze": lambda path: ["analyze", str(path), "--format", "json"],
+    "cover": lambda path: ["cover", str(path)],
+    "graphs": lambda path: ["graphs", str(path), "--out", str(path.parent / "g"), "--dot"],
+}
+
+
+def _nodes(doc):
+    """(container, key) of every node below the root."""
+    found, stack = [], [doc]
+    while stack:
+        node = stack.pop()
+        for key in node if isinstance(node, dict) else range(len(node)):
+            found.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                stack.append(node[key])
+    return found
+
+
+class TestMutatedDocuments:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["a5", "psl2_7"]), st.data())
+    def test_every_command_exits_cleanly_within_two_seconds(self, name, data):
+        doc = json.loads((FIXTURE_DIR / f"{name}.json").read_text())
+        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+            parent, key = data.draw(st.sampled_from(_nodes(doc)), label="node")
+            if data.draw(st.booleans(), label="delete"):
+                del parent[key]
+            else:
+                parent[key] = copy.deepcopy(data.draw(st.sampled_from(PALETTE), label="value"))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            for command, argv in MUTATED_COMMANDS.items():
+                out, err = io.StringIO(), io.StringIO()
+                start = time.perf_counter()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = main(argv(path))
+                assert time.perf_counter() - start < 2, command
+                assert code in (0, 1, 2), (command, code)
+                assert "Traceback" not in err.getvalue(), command
+                assert all(line.startswith("error: ") for line in err.getvalue().splitlines())
 
 
 class TestOutputPathErrors:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from charzero import zerographs
 from charzero.chartable import TableMetadata, build_abelian, build_dihedral, build_symmetric
 from charzero.vanishing import zero_pattern
 from charzero.zerographs import (
@@ -29,6 +30,15 @@ def graph_from_edges(n, edges):
 
 def adjacent(g, i, j):
     return bool(g.adjacency[i] >> j & 1)
+
+
+def greedy_set(g):
+    """Lowest vertex first, then drop its neighbours."""
+    chosen = []
+    for v in range(len(g.vertices)):
+        if not any(adjacent(g, v, u) for u in chosen):
+            chosen.append(v)
+    return tuple(chosen)
 
 
 def brute_force_alpha(g):
@@ -228,8 +238,11 @@ class TestIndependenceNumber:
         g = gamma_v(zero_pattern(build_dihedral(2**n)))
         assert independence_number(g)[0] == 1
 
-    def test_witness_is_first_maximum_set_in_combinations_order(self):
+    def test_witness_is_the_greedy_set_when_that_is_maximum(self):
+        # the witness is the set the search found: independent, sorted and of
+        # size alpha, and the greedy set (lowest vertex first) if that is maximum
         rng = random.Random(11)
+        greedy_maximum = 0
         for _ in range(150):
             n = rng.randint(1, 13)
             density = rng.choice((0.2, 0.4, 0.6))
@@ -237,13 +250,51 @@ class TestIndependenceNumber:
                 (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density
             ]
             g = graph_from_edges(n, edges)
-            expected = next(
-                (k, w)
-                for k in range(n, -1, -1)
-                for w in itertools.combinations(range(n), k)
-                if not any(adjacent(g, i, j) for i, j in itertools.combinations(w, 2))
-            )
-            assert independence_number(g) == expected, edges
+            alpha, w = independence_number(g)
+            assert alpha == brute_force_alpha(g) and len(w) == alpha, edges
+            assert list(w) == sorted(set(w)), edges
+            assert not any(adjacent(g, i, j) for i, j in itertools.combinations(w, 2)), edges
+            if len(greedy_set(g)) == alpha:
+                greedy_maximum += 1
+                assert w == greedy_set(g), edges
+        assert 0 < greedy_maximum < 150
+
+    def test_corpus_witnesses(self, corpus):
+        for t in corpus:
+            p = zero_pattern(t)
+            for g in (gamma_v(p), delta_v(p)):
+                alpha, w = independence_number(g)
+                assert len(w) == alpha and list(w) == sorted(set(w)), t.group_name
+                assert not any(adjacent(g, i, j) for i, j in itertools.combinations(w, 2))
+                if len(greedy_set(g)) == alpha:
+                    assert w == greedy_set(g), t.group_name
+
+    def test_one_decision_search_per_vertex_above_the_greedy_set(self, monkeypatch):
+        # the searches independence_number starts itself, not their recursive
+        # calls: each succeeds but the last, and nothing searches after it
+        searches = []
+        depth = 0
+        search = zerographs._clique_at_least
+
+        def counted(comp, cand, need):
+            nonlocal depth
+            if depth == 0:
+                searches.append(need)
+            depth += 1
+            try:
+                return search(comp, cand, need)
+            finally:
+                depth -= 1
+
+        monkeypatch.setattr(zerographs, "_clique_at_least", counted)
+        rng = random.Random(3)
+        for _ in range(60):
+            n = rng.randint(1, 13)
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+            g = graph_from_edges(n, edges)
+            searches.clear()
+            alpha, _ = independence_number(g)
+            assert searches == list(range(len(greedy_set(g)) + 1, alpha + 2)), edges
 
     def test_disjoint_cliques_above_96_vertices(self):
         edges = [
