@@ -317,14 +317,14 @@ def _row_orthogonality(t: CharacterTable) -> list[str]:
     for _ in range(1, n):
         powers.append(powers[-1] * x % modulus)
 
-    def image(v: Cyclotomic, sign: int) -> int:
-        # zeta_n^e = zeta_N^(e*N/n) -> x^(e*N/n); conjugation negates e.  A
-        # rational value, whose n need not divide N, has only e = 0: coeffs[0].
-        step = sign * (n // v.conductor)
-        return sum(q * powers[e * step % n] for e, q in enumerate(v.coeffs) if q)
+    def image(v: Cyclotomic) -> int:
+        # zeta_n^e = zeta_N^(e*N/n) -> x^(e*N/n), below x^N as e < phi(n).  A rational
+        # value, whose n need not divide N, has only e = 0 and is its own conjugate.
+        step = n // v.conductor
+        return sum(q * powers[e * step] for e, q in enumerate(v.coeffs) if q)
 
-    plus = {i: image(v, 1) for i, v in distinct.items()}
-    minus = {i: image(v, -1) for i, v in distinct.items()}
+    plus = {i: image(v) for i, v in distinct.items()}
+    minus = {i: image(v if v.as_integer() is not None else v.conj()) for i, v in distinct.items()}
     sizes = [c.size for c in t.classes]
     weighted = [[size * plus[id(v)] for size, v in zip(sizes, ch.values)] for ch in t.characters]
     conjugate = [[minus[id(v)] for v in ch.values] for ch in t.characters]
@@ -343,7 +343,9 @@ def validate(t: CharacterTable) -> list[str]:
 
     Row orthogonality, sum_c |c| chi_r1(c) conj(chi_r2(c)) = |G| delta, is
     checked once in Z/M, with N, x = 2^s and M = Phi_N(x) from _gram_modulus:
-    - zeta_N -> x is a ring map Z[zeta_N] -> Z/M, as Phi_N(x) = M.
+    - zeta_N -> x is a ring map Z[zeta_N] -> Z/M, as Phi_N(x) = M.  It sends
+      zeta_n^e, e < phi(n), to x^(e*N/n), so every exponent it reads is below
+      N.  A complex conjugate is a value too, v.conj(), mapped the same way.
     - Let a be a Gram entry minus |G| delta; each conjugate of a is at most B
       in absolute value.  If a != 0 maps to 0, M divides the nonzero integer
       N(a), yet |N(a)| <= B^phi(N) < (x-1)^phi(N) <= M.  So a = 0.
@@ -575,6 +577,6 @@ def save_table(t: CharacterTable, path) -> None:
 def load_table(path) -> CharacterTable:
     try:
         data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"malformed JSON: {exc}") from exc
     return table_from_json(data)

@@ -10,7 +10,8 @@ import pytest
 
 from charzero import analysis, hcover, vanishing, zerographs
 from charzero.analysis import ALL_CHECKS, TableAnalysis
-from charzero.chartable import load_table
+from charzero.chartable import build_symmetric, load_table
+from charzero.cyclotomic import Cyclotomic
 
 from test_golden import GOLDEN_DIR, write_corpus
 
@@ -94,6 +95,33 @@ def test_camina_disagreement_is_a_flag_not_a_fact(golden_tables, monkeypatch):
     assert a.flags(("camina",)) == ["camina:Camina definitions disagree on G: test"]
     with pytest.raises(vanishing.DataIntegrityError):
         a.camina_classes
+
+
+def test_flags_of_a_table_validate_refuses():
+    # S3 with the zero of chi(2,1) at the transpositions replaced by 1, analysed
+    # without validate: chi(2,1) then vanishes nowhere
+    t = build_symmetric(3)
+    chi = t.characters[1]
+    assert chi.values[2].is_zero()
+    chi = chi._replace(values=chi.values[:2] + (Cyclotomic.one(),))
+    bad = t._replace(characters=(t.characters[0], chi, t.characters[2]))
+    assert TableAnalysis(bad).flags(ALL_CHECKS) == [
+        "burnside:characters [1] never vanish",
+        "mno:characters [1] have no prime-power-order zero",
+        "camina:Camina definitions disagree on S3: column test [] vs size test [2]",
+        "hmm-components:Gamma_v has 1, Delta_v has 0",
+        "covers:a nonlinear character of S3 never vanishes",
+    ]
+
+
+def test_a_witness_that_misses_a_character_is_flagged(golden_tables, monkeypatch):
+    real = hcover.min_cover
+    monkeypatch.setattr(hcover, "min_cover", lambda p: real(p)._replace(witness=()))
+    a = TableAnalysis(golden_tables["corpus/s4.json"])
+    uncovered = a.table.nonlinear_indices()
+    assert a.flags(("witnesses",)) == [
+        f"witnesses:solver witness leaves characters {uncovered} uncovered"
+    ]
 
 
 class TestConjectureFamilies:

@@ -26,7 +26,7 @@ from charzero.chartable import (
     table_to_json,
     validate,
 )
-from charzero.cyclotomic import Cyclotomic, root_of_unity
+from charzero.cyclotomic import Cyclotomic, cyc_to_json, root_of_unity
 from charzero.partitions import mn_value, partitions_of
 
 from conftest import FIXTURE_DIR, FIXTURE_NAMES
@@ -223,6 +223,22 @@ class TestCyclicAbelian:
         assert m.fitting_height == (1 if factors else None)
         if len(factors) < 2:
             assert table_to_json(t) == table_to_json(build_cyclic(factors[0] if factors else 1))
+
+
+@pytest.mark.parametrize(
+    "call,text",
+    [
+        (lambda: build_cyclic(0), "build_cyclic requires n >= 1"),
+        (lambda: partitions_of(-1), "n must be nonnegative"),
+        (lambda: Character("chi", (root_of_unity(3, 1),)).degree,
+         "character chi has non-integer identity value"),
+    ],
+    ids=["cyclic-0", "partitions-of-minus-1", "degree-zeta3"],
+)
+def test_value_error_texts(call, text):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == text
 
 
 class TestDirectProduct:
@@ -422,6 +438,16 @@ def test_saved_text_is_json_dumps_of_each_row_on_products(factors):
     assert_same_text(saved_text(t), reference_save_text(t))
 
 
+def with_class(t, i, **fields):
+    cls = t.classes[i]._replace(**fields)
+    return t._replace(classes=t.classes[:i] + (cls,) + t.classes[i + 1 :])
+
+
+def with_row(t, r, values):
+    row = t.characters[r]._replace(values=values)
+    return t._replace(characters=t.characters[:r] + (row,) + t.characters[r + 1 :])
+
+
 class TestValidate:
     def test_rational_value_at_a_huge_conductor_is_quick(self):
         # a zero stored at conductor 1009 must not make validate build Phi_N
@@ -504,6 +530,36 @@ class TestValidate:
             "class sizes do not sum to the group order",
             "class 1 size 14 does not divide order",
         ]
+
+    @pytest.mark.parametrize(
+        "mutate,fails",
+        [
+            (lambda t: with_class(t, 1, element_order=1),
+             ["expected exactly one identity class, found 2"]),
+            (lambda t: t._replace(classes=(t.classes[1], t.classes[0], *t.classes[2:])),
+             ["identity class must be first, found at index 1"]),
+            (lambda t: with_class(t, 0, size=2),
+             ["identity class has size 2", "class sizes do not sum to the group order"]),
+            # the four rows left are still orthogonal
+            (lambda t: t._replace(characters=t.characters[:4]),
+             ["4 characters vs 5 classes",
+              "sum of squared degrees does not equal the group order"]),
+            (lambda t: with_row(t, 2, t.characters[2].values[:4]),
+             ["character 2 has 4 values, expected 5"]),
+            (lambda t: t._replace(metadata=TableMetadata(nilpotent=True, fitting_height=2)),
+             ["nilpotent table must have fitting_height 1"]),
+            (lambda t: t._replace(metadata=TableMetadata(fitting_height=0)),
+             ["fitting_height must be a positive integer"]),
+            (lambda t: t._replace(metadata=TableMetadata(r_value=0)),
+             ["r_value must be a positive integer"]),
+        ],
+        ids=[
+            "two-identity-classes", "identity-second", "identity-size-2", "four-characters",
+            "short-row", "nilpotent-fitting-height-2", "fitting-height-0", "r-value-0",
+        ],
+    )
+    def test_failure_texts(self, mutate, fails):
+        assert validate(mutate(fixture_table("a5"))) == fails
 
     def test_perturbed_value_fails_orthogonality(self):
         t = build_symmetric(4)
@@ -626,6 +682,26 @@ class TestSerialization:
         path.write_text("{not json")
         with pytest.raises(SchemaError):
             load_table(path)
+
+    @pytest.mark.parametrize(
+        "mutate,text",
+        [
+            (lambda doc: [doc], "table document must be a JSON object"),
+            (lambda doc: doc["characters"].__setitem__(1, 5), "character 1 must be an object"),
+            (lambda doc: doc.update(metadata=[]), "metadata must be an object"),
+            (lambda doc: doc["metadata"].update(color="red"), "unknown metadata fields: ['color']"),
+            (lambda doc: doc["characters"][1]["values"].__setitem__(
+                0, cyc_to_json(root_of_unity(5, 1))),
+             "character 1 identity value is not a rational integer"),
+        ],
+        ids=["document-list", "character-int", "metadata-list", "unknown-metadata", "zeta5-degree"],
+    )
+    def test_schema_error_texts(self, mutate, text):
+        doc = table_to_json(fixture_table("a5"))
+        doc = mutate(doc) or doc
+        with pytest.raises(SchemaError) as info:
+            table_from_json(doc)
+        assert str(info.value) == text
 
     def test_identity_reordered_on_ingest(self):
         doc = table_to_json(build_cyclic(3))

@@ -70,6 +70,15 @@ class TestGen:
         assert capsys.readouterr().err == f"error: ValueError: {family} takes exactly one integer\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("files", [1, 3])
+    def test_product_takes_two_files(self, tmp_path, capsys, files):
+        out = tmp_path / "p.json"
+        argv = ["gen", "product", *[str(FIXTURE_DIR / "a5.json")] * files, "-o", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: ValueError: product takes exactly two table files\n"
+        assert not out.exists()
+
 
 class TestAnalyze:
     def test_s3_text(self, tmp_path, capsys):
@@ -195,6 +204,23 @@ class TestVerify:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestEmptyInput:
+    def test_verify(self, tmp_path, capsys):
+        assert main(["verify", str(tmp_path)]) == 2
+        assert capsys.readouterr() == ("", "error: ValueError: no input files\n")
+
+    def test_report(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert main(["report", str(tmp_path), "-o", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: ValueError: no tables found in {tmp_path}\n")
+        assert not out.exists()
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: charzero") and err == ""
 
 
 class TestDirectoryScan:
@@ -436,7 +462,28 @@ CORRUPT = {
     "value-7": _set_value_to_7,
     "element-order-above-centraliser": _set_order_of_2a_to_6,
     "truncated-json": lambda path: path.write_text("{"),
+    # a5.json as UTF-16 with its byte order mark, FF FE
+    "utf-16": lambda path: path.write_bytes(
+        b"\xff\xfe" + (FIXTURE_DIR / "a5.json").read_text().encode("utf-16-le")
+    ),
+    # above the int-to-str digit limit (4300) of Python 3.11 and later
+    "5000-digit-order": lambda path: path.write_text(
+        (FIXTURE_DIR / "a5.json").read_text().replace('"order": 60', '"order": 1' + "0" * 4999)
+    ),
+    "100000-nested-lists": lambda path: path.write_text('{"group_name": ' + "[" * 100_000),
 }
+# the CORRUPT files json.loads refuses; Python 3.10 has no int-to-str limit
+MALFORMED_JSON = [
+    "truncated-json",
+    "utf-16",
+    pytest.param(
+        "5000-digit-order",
+        marks=pytest.mark.skipif(
+            not hasattr(sys, "get_int_max_str_digits"), reason="Python 3.10 parses any int"
+        ),
+    ),
+    "100000-nested-lists",
+]
 # the argv of each command that reads a table file, given that file
 READERS = {
     "verify": lambda path, tmp: ["verify", str(path)],
@@ -469,6 +516,18 @@ class TestLoadErrorNamesTheFileOnce:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
         assert err[0].count("bad_a5") == 1
+
+    @pytest.mark.parametrize("corruption", MALFORMED_JSON)
+    def test_malformed_json_is_a_schema_error(self, tmp_path, capsys, corruption):
+        path = tmp_path / "corpus" / "bad_a5.json"
+        path.parent.mkdir()
+        CORRUPT[corruption](path)
+        with pytest.raises(SchemaError, match="^malformed JSON: "):
+            load_table(path)
+        for command, argv in READERS.items():
+            assert main(argv(path, tmp_path)) == 2, command
+            [line] = capsys.readouterr().err.splitlines()
+            assert line.startswith(f"error: {path}: SchemaError: malformed JSON: "), command
 
     def test_validation_failure_text(self, tmp_path, capsys):
         path = tmp_path / "bad_a5.json"

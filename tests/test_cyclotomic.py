@@ -108,6 +108,19 @@ class TestRingOps:
         zero5 = Cyclotomic(5, [Fraction(0)] * euler_phi(5))
         assert z3 + zero5 == root_of_unity(15, 5)
 
+    def test_integer_minus_value(self):
+        assert 1 - root_of_unity(4, 1) == Cyclotomic(4, [1, -1])
+
+    def test_non_integral_operand_is_not_implemented(self):
+        z = root_of_unity(3, 1)
+        assert z.__sub__(Fraction(1, 2)) is NotImplemented
+        with pytest.raises(TypeError):
+            z - Fraction(1, 2)
+
+    def test_repr(self):
+        assert repr(Cyclotomic.from_rational(-3)) == "Cyclotomic(-3)"
+        assert repr(root_of_unity(8, 1) + 2) == "Cyclotomic[2*z8^0 + 1*z8^1]"
+
 
 class TestIsZero:
     def test_vanishing_sum(self):
@@ -397,6 +410,23 @@ class TestInvariants:
     def test_coeff_length_checked(self):
         with pytest.raises(ValueError):
             Cyclotomic(12, [1, 2, 3])
+
+    @pytest.mark.parametrize(
+        "call,text",
+        [
+            (lambda: euler_phi(0), "euler_phi requires n >= 1"),
+            (lambda: cyclotomic_polynomial(0), "conductor must be >= 1"),
+            (lambda: Cyclotomic(0, []), "conductor must be >= 1"),
+            (lambda: root_of_unity(0, 1), "n must be >= 1"),
+            (lambda: root_of_unity(3, 1).embed(4), "target conductor must be a multiple"),
+            (lambda: root_of_unity(3, 1) ** -1, "negative powers not supported"),
+        ],
+        ids=["euler-phi-0", "phi-0", "conductor-0", "root-0", "embed-4-of-3", "power-minus-1"],
+    )
+    def test_value_error_texts(self, call, text):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == text
 
     def test_conductor_bound_admits_every_totient(self):
         # the early rejection n > 2 len^2 must never refuse a correct length
