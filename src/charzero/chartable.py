@@ -22,7 +22,6 @@ from .cyclotomic import (
     euler_phi,
     root_of_unity,
 )
-from .partitions import _column, partitions_of, z_order
 
 __all__ = [
     "ConjClass",
@@ -121,6 +120,9 @@ def build_symmetric(n: int) -> CharacterTable:
     """Exact character table of S_n via the Murnaghan-Nakayama recursion.
     It has p(n) classes and p(n)**2 values, so time and memory grow with
     p(n)**2 (S_20 has 627 classes)."""
+    # imported here so that loading and validating a table never compiles partitions
+    from .partitions import _column, partitions_of, z_order
+
     if n < 1:
         raise ValueError("build_symmetric requires n >= 1")
     parts = partitions_of(n)
@@ -432,10 +434,16 @@ def validate(t: CharacterTable) -> list[str]:
 
 
 def _encoded(t: CharacterTable, encode) -> list[list]:
-    """Each row through encode, once per value object: keyed on id(v), which t keeps alive."""
+    """Each row with every conductor-1 value as its int, as cyc_to_json writes
+    it, and every other value through encode, once per value object: keyed on
+    id(v), which t keeps alive."""
     enc = {}
     return [
-        [enc[i] if (i := id(v)) in enc else enc.setdefault(i, encode(v)) for v in ch.values]
+        [
+            v.coeffs[0] if v.conductor == 1
+            else enc[i] if (i := id(v)) in enc else enc.setdefault(i, encode(v))
+            for v in ch.values
+        ]
         for ch in t.characters
     ]
 
@@ -555,12 +563,18 @@ def table_from_json(data: dict) -> CharacterTable:
 
 def save_table(t: CharacterTable, path) -> None:
     """Write table_to_json(t) as plain JSON, one class and one character per
-    line as json.dumps writes each, dumping each distinct value once."""
+    line as json.dumps writes each, dumping each distinct value above
+    conductor 1 once."""
     texts = _encoded(t, lambda v: json.dumps(cyc_to_json(v)))
     doc = table_to_json(t._replace(characters=()))
     doc["classes"] = map(json.dumps, doc["classes"])
+
+    def values(row) -> str:
+        # %s writes an int as json.dumps does and a dumped value as it is
+        return ", ".join(["%s"] * len(row)) % tuple(row)
+
     doc["characters"] = (
-        f'{{"name": {json.dumps(ch.name)}, "values": [{", ".join(row)}]}}'
+        f'{{"name": {json.dumps(ch.name)}, "values": [{values(row)}]}}'
         for ch, row in zip(t.characters, texts)
     )
 

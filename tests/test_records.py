@@ -1,5 +1,7 @@
-"""The records are immutable named tuples, and importing the CLI stays light."""
+"""The records are immutable named tuples, importing the CLI stays light, and
+the package namespace imports each submodule only when one of its names is used."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -7,12 +9,14 @@ from pathlib import Path
 
 import pytest
 
+import charzero
 from charzero.chartable import build_symmetric
 from charzero.hcover import min_cover
 from charzero.vanishing import zero_pattern
 from charzero.zerographs import gamma_v, theta
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():
@@ -23,6 +27,58 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out == "[]\n"
+
+
+def charzero_imports(*args: str) -> list[str]:
+    """The charzero modules a `python -S -X importtime` child imports, in order."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    run = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", *args],
+        env=env, cwd=ROOT, capture_output=True, text=True, check=True,
+    )
+    names = [line.rpartition("|")[2].strip() for line in run.stderr.splitlines()]
+    return [name for name in names if name.split(".")[0] == "charzero"]
+
+
+def test_package_import_loads_no_submodule():
+    assert charzero_imports("-c", "import charzero") == ["charzero"]
+
+
+def test_load_table_loads_only_chartable_and_cyclotomic():
+    code = "from charzero import load_table; load_table('fixtures/a5.json')"
+    assert sorted(charzero_imports("-c", code)) == [
+        "charzero", "charzero.chartable", "charzero.cyclotomic",
+    ]
+
+
+def test_verify_never_loads_partitions():
+    loaded = charzero_imports("-m", "charzero.cli", "verify", "fixtures")
+    assert "charzero.analysis" in loaded and "charzero.partitions" not in loaded
+
+
+@pytest.mark.parametrize("name", charzero.__all__)
+def test_export_is_its_module_attribute(name):
+    module = importlib.import_module(f"charzero.{charzero._EXPORTS[name]}")
+    assert getattr(charzero, name) is getattr(module, name)
+    assert name in module.__all__
+
+
+def test_dir_lists_every_export():
+    assert set(charzero.__all__) <= set(dir(charzero))
+    assert "__version__" in dir(charzero)
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from charzero import *", namespace)
+    assert {name: namespace[name] for name in charzero.__all__} == {
+        name: getattr(charzero, name) for name in charzero.__all__
+    }
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="module 'charzero' has no attribute 'no_such_name'"):
+        charzero.no_such_name  # noqa: B018
 
 
 def records():
