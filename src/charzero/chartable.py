@@ -315,18 +315,28 @@ def _row_orthogonality(t: CharacterTable) -> list[str]:
             if id(v) in faults
         ]
     n, x, modulus = _gram_modulus(t, distinct.values())
-    powers = [1]
-    for _ in range(1, n):
-        powers.append(powers[-1] * x % modulus)
+    conj = {i: v if v.as_integer() is not None else v.conj() for i, v in distinct.items()}
+    # zeta_n^e = zeta_N^(e*N/n) -> x^(e*N/n), below x^N as e < phi(n).  A rational
+    # value, whose n need not divide N, has only e = 0 and is its own conjugate.
+    # Of the N powers of x, only those some value or conjugate reads are kept.
+    reads = {
+        e * (n // v.conductor)
+        for v in (*distinct.values(), *conj.values())
+        for e, q in enumerate(v.coeffs)
+        if q
+    }
+    powers, p = {0: 1}, 1
+    for e in range(1, n):
+        p = p * x % modulus
+        if e in reads:
+            powers[e] = p
 
     def image(v: Cyclotomic) -> int:
-        # zeta_n^e = zeta_N^(e*N/n) -> x^(e*N/n), below x^N as e < phi(n).  A rational
-        # value, whose n need not divide N, has only e = 0 and is its own conjugate.
         step = n // v.conductor
         return sum(q * powers[e * step] for e, q in enumerate(v.coeffs) if q)
 
     plus = {i: image(v) for i, v in distinct.items()}
-    minus = {i: image(v if v.as_integer() is not None else v.conj()) for i, v in distinct.items()}
+    minus = {i: image(v) for i, v in conj.items()}
     sizes = [c.size for c in t.classes]
     weighted = [[size * plus[id(v)] for size, v in zip(sizes, ch.values)] for ch in t.characters]
     conjugate = [[minus[id(v)] for v in ch.values] for ch in t.characters]

@@ -230,10 +230,11 @@ class TestCyclicAbelian:
     [
         (lambda: build_cyclic(0), "build_cyclic requires n >= 1"),
         (lambda: partitions_of(-1), "n must be nonnegative"),
+        (lambda: partitions_of(3.0), "n must be an int: 3.0"),
         (lambda: Character("chi", (root_of_unity(3, 1),)).degree,
          "character chi has non-integer identity value"),
     ],
-    ids=["cyclic-0", "partitions-of-minus-1", "degree-zeta3"],
+    ids=["cyclic-0", "partitions-of-minus-1", "partitions-of-float", "degree-zeta3"],
 )
 def test_value_error_texts(call, text):
     with pytest.raises(ValueError) as info:

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -135,6 +136,23 @@ def test_adding_phi_n_of_a_power_of_two_is_flagged(name):
         k = sum(coef << (s * i) for i, coef in enumerate(poly))
         fails = validate(with_value(t, 1, 1, v + k))
         assert any(f.startswith("row orthogonality fails") for f in fails), s
+
+
+def test_huge_modulus_keeps_only_the_powers_it_reads():
+    # M11 plus Phi_88(2^64) has M of about 205 000 bits (25 KB a power of x
+    # mod M); the Gram check reads 8 of the 88 powers, so only those are kept
+    t = fixture("m11")
+    poly = cyclotomic_polynomial(conductor_lcm(t))
+    k = sum(coef << (64 * i) for i, coef in enumerate(poly))
+    bad = with_value(t, 1, 1, t.characters[1].values[1] + k)
+    tracemalloc.start()
+    try:
+        fails = validate(bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert any(f.startswith("row orthogonality fails") for f in fails)
+    assert peak < 1_500_000, peak
 
 
 def assert_modulus_beats_norm_bound(t):

@@ -1,8 +1,12 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -209,6 +213,14 @@ class TestRimHooks:
             remove_rim_hooks((2, 0), 1)
         with pytest.raises(ValueError, match="parts must be weakly decreasing"):
             remove_rim_hooks((1, 2), 1)
+        with pytest.raises(ValueError, match="part must be an int: 2.0"):
+            remove_rim_hooks((2.0, 1), 1)
+        with pytest.raises(ValueError, match="strip size must be an int: 1.0"):
+            remove_rim_hooks((2, 1), 1.0)
+        with pytest.raises(ValueError, match="strip size must be an int: True"):
+            remove_rim_hooks((2, 1), True)
+        with pytest.raises(ValueError, match="strip size must be an int: '1'"):
+            remove_rim_hooks((2, 1), "1")
 
 
 class TestMnValue:
@@ -241,6 +253,16 @@ class TestMnValue:
             mn_value((2, 1), (3, 0))
         with pytest.raises(ValueError, match="parts must be weakly decreasing"):
             mn_value((1, 2), (3,))
+        with pytest.raises(ValueError, match="part must be an int: 1.5"):
+            mn_value((1.5, 1.5), (3,))
+        with pytest.raises(ValueError, match="part must be an int: 2.0"):
+            mn_value((2.0, 1), (3,))
+        with pytest.raises(ValueError, match="part must be an int: True"):
+            mn_value((True, True), (2,))
+        with pytest.raises(ValueError, match="part must be an int: 2.0"):
+            mn_value((2, 1), (1, 2.0))
+        with pytest.raises(ValueError, match="part must be an int: '2'"):
+            mn_value((2, 1), ("2", 1))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_every_part_order(self, n):
@@ -287,6 +309,31 @@ class TestBuildSymmetricOracle:
             "2c2a3b4bb79e7f55e8cbf6edd640a1c83bc12f219f5ba510116ba9513b3bdb2a"
         )
 
+    def test_s18_file_is_pinned(self, tmp_path):
+        save_table(build_symmetric(18), tmp_path / "s18.json")
+        assert hashlib.sha256((tmp_path / "s18.json").read_bytes()).hexdigest() == (
+            "14541d7e3a9042b1b60e3f051c23ed650461688e47747ba55e89d16dffb2ddaf"
+        )
+
+    def test_mn_caches_after_s16_stay_small(self):
+        # the rim-hook tables and columns that build_symmetric(16) leaves cached
+        # are flat tuples of ints; a fresh process, so no earlier test's caches count
+        code = (
+            "import gc, tracemalloc\n"
+            "from charzero import chartable, partitions\n"
+            "tracemalloc.start()\n"
+            "t = chartable.build_symmetric(16)\n"
+            "del t\n"
+            "gc.collect()\n"
+            "print(tracemalloc.get_traced_memory()[0])\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        run = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+        )
+        assert int(run.stdout) < 1_500_000, run.stdout
+
     def test_dihedral_cyclic_and_abelian_files_are_pinned(self, tmp_path):
         # the saved texts of D_6..D_128, C_1..C_24 and ten abelian groups,
         # concatenated in that order
@@ -300,6 +347,12 @@ class TestBuildSymmetricOracle:
         assert digest.hexdigest() == (
             "7579d52a1c3a53d4620912da8e863399f70283d6b86561ee2aaf27a1e0b7f377"
         )
+
+
+class TestZOrder:
+    def test_rejects_non_int_parts(self):
+        with pytest.raises(ValueError, match="part must be an int: 2.0"):
+            z_order((2.0, 1))
 
 
 class TestDegree:
