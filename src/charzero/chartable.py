@@ -121,7 +121,7 @@ def build_symmetric(n: int) -> CharacterTable:
     It has p(n) classes and p(n)**2 values, so time and memory grow with
     p(n)**2 (S_20 has 627 classes)."""
     # imported here so that loading and validating a table never compiles partitions
-    from .partitions import _column, partitions_of, z_order
+    from .partitions import _column, _columns, partitions_of, z_order
 
     if n < 1:
         raise ValueError("build_symmetric requires n >= 1")
@@ -147,6 +147,10 @@ def build_symmetric(n: int) -> CharacterTable:
         Character(name=f"chi{lam}", values=tuple(map(vals.__getitem__, row)))
         for lam, row in zip(parts, rows)
     )
+    # the columns of S_n's own classes hold the table's values a second time;
+    # only another build of S_n or an mn_value at n reads them again
+    for mu in class_order:
+        _columns.pop(mu, None)
     meta = TableMetadata(solvable=(n <= 4), simple=(n == 2))
     return CharacterTable(f"S{n}", nfact, classes, characters, meta)
 
@@ -488,7 +492,56 @@ def _require(obj: dict, key: str, kinds, where: str):
     return val
 
 
+class _Record(dict):
+    """A value record that load_table's parser has decoded: value is its
+    Cyclotomic, and the record was cyc_to_json(value).  It is a dict with the
+    record's keys, conductor then coeffs, and the record's repr, so anywhere
+    but a value position it meets table_from_json's checks, and their error
+    texts, as the record would."""
+
+    __slots__ = ("value",)
+
+    def __repr__(self) -> str:
+        return repr(cyc_to_json(self.value))
+
+
+def _record_hook():
+    """A json object_hook that turns each record exactly as cyc_to_json writes
+    an irrational value, {"conductor": n, "coeffs": [[c, 1], ...]} with int
+    n and c, into one shared _Record per distinct record as the parser closes
+    it, so only one record's pair lists are alive at a time.  Any other
+    object is handed on as the parser made it."""
+    records: dict[tuple, _Record] = {}
+
+    def hook(obj: dict):
+        if len(obj) != 2 or list(obj) != ["conductor", "coeffs"]:
+            return obj
+        n, pairs = obj.values()
+        try:
+            nums, ones = zip(*pairs, strict=True)
+        except (TypeError, ValueError):  # not a list of pairs
+            return obj
+        if type(n) is not int or {*map(type, nums), *map(type, ones)} != {int} or {*ones} != {1}:
+            return obj
+        rec = records.get((n, nums))
+        if rec is None:
+            try:
+                value = Cyclotomic(n, nums)
+            except ValueError:
+                return obj
+            if value.as_integer() is not None:  # cyc_to_json writes it as an int
+                return obj
+            rec = records[n, nums] = _Record(conductor=n, coeffs=nums)
+            rec.value = value
+        return rec
+
+    return hook
+
+
 def table_from_json(data: dict) -> CharacterTable:
+    """The table of a decoded JSON document, after every schema check.  A
+    value may stand as an int, as its record, or as a record load_table has
+    already decoded, whose value is interned again like any other."""
     if not isinstance(data, dict):
         raise SchemaError("table document must be a JSON object")
     name = _require(data, "group_name", str, "table")
@@ -531,7 +584,9 @@ def table_from_json(data: dict) -> CharacterTable:
                 values = tuple(map(vals.__getitem__, raw))
             else:
                 values = tuple(
-                    vals[v] if type(v) is int else vals.intern(cyc_from_json(v)) for v in raw
+                    vals[v] if type(v) is int
+                    else vals.intern(v.value if type(v) is _Record else cyc_from_json(v))
+                    for v in raw
                 )
         except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
             raise SchemaError(f"character {i} has a malformed value: {exc}") from exc
@@ -573,34 +628,38 @@ def table_from_json(data: dict) -> CharacterTable:
 
 def save_table(t: CharacterTable, path) -> None:
     """Write table_to_json(t) as plain JSON, one class and one character per
-    line as json.dumps writes each, dumping each distinct value above
-    conductor 1 once."""
-    texts = _encoded(t, lambda v: json.dumps(cyc_to_json(v)))
+    line as json.dumps writes each.  Every distinct value, every name and
+    every line but the character lines is encoded before the file is
+    opened, so a table that cannot be encoded leaves no file; each character
+    line is then formed from those texts as it is written."""
+    # each row as its conductor-1 ints and the texts of its other values; str
+    # gives each distinct entry's text, as json.dumps writes an int
+    rows = _encoded(t, lambda v: json.dumps(cyc_to_json(v)))
+    texts = {x: str(x) for x in set().union(*rows)}
+    names = [json.dumps(ch.name) for ch in t.characters]
     doc = table_to_json(t._replace(characters=()))
-    doc["classes"] = map(json.dumps, doc["classes"])
-
-    def values(row) -> str:
-        # %s writes an int as json.dumps does and a dumped value as it is
-        return ", ".join(["%s"] * len(row)) % tuple(row)
-
-    doc["characters"] = (
-        f'{{"name": {json.dumps(ch.name)}, "values": [{values(row)}]}}'
-        for ch, row in zip(t.characters, texts)
+    classes = ",".join(f"\n  {json.dumps(c)}" for c in doc["classes"])
+    head = (
+        f'{{\n "group_name": {json.dumps(doc["group_name"])},\n "order": {json.dumps(doc["order"])},'
+        f'\n "classes": [{classes}\n ],\n "characters": ['
     )
-
-    def field(key, value) -> str:
-        if key in ("classes", "characters"):
-            value = "[" + ",".join(f"\n  {row}" for row in value) + "\n ]"
-        else:
-            value = json.dumps(value)
-        return f"{json.dumps(key)}: {value}"
-
-    Path(path).write_text("{\n " + ",\n ".join(field(k, v) for k, v in doc.items()) + "\n}\n")
+    tail = f'\n ],\n "metadata": {json.dumps(doc["metadata"])}\n}}\n'
+    with open(path, "w") as f:
+        f.write(head)
+        sep = "\n  "
+        for name, row in zip(names, rows):
+            f.write(f'{sep}{{"name": {name}, "values": [{", ".join(map(texts.__getitem__, row))}]}}')
+            sep = ",\n  "
+        f.write(tail)
 
 
 def load_table(path) -> CharacterTable:
+    """Read a table file and return table_from_json of its document.  The
+    parser hands each value record to _record_hook as it closes it, so the
+    file's pair lists are never all alive at once, and the entries of one
+    record share one decoded value."""
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(), object_hook=_record_hook())
     except (ValueError, RecursionError) as exc:
         raise SchemaError(f"malformed JSON: {exc}") from exc
     return table_from_json(data)

@@ -104,20 +104,26 @@ def _hooks(k: int, l: int) -> tuple[tuple[int, ...], ...]:
     return tuple(flat[0]), tuple(ends[0]), tuple(flat[1]), tuple(ends[1])
 
 
-@lru_cache(maxsize=None)
+# mu -> _column(mu), for every mu a column was asked for or built from; a
+# build_symmetric(n) drops the columns of its own classes, the partitions of n
+_columns: dict[PartitionT, tuple[int, ...]] = {(): (1,)}
+
+
 def _column(mu: PartitionT) -> tuple[int, ...]:
     """chi^lam(mu) for every lam of |mu| in partitions_of order; mu canonical.
     With E and O the prefix sums of the column of mu[1:] over the even- and
     odd-leg positions of _hooks, the i-th lam's value is net[i + 1] - net[i],
     where net[i] = E[even_ends[i]] - O[odd_ends[i]]."""
-    if not mu:
-        return (1,)
+    column = _columns.get(mu)
+    if column is not None:
+        return column
     col = _column(mu[1:]).__getitem__
     even, even_ends, odd, odd_ends = _hooks(sum(mu), mu[0])
     plus = list(accumulate(map(col, even), initial=0)).__getitem__
     minus = list(accumulate(map(col, odd), initial=0)).__getitem__
     net = list(map(sub, map(plus, even_ends), map(minus, odd_ends)))
-    return tuple(map(sub, islice(net, 1, None), net))
+    column = _columns[mu] = tuple(map(sub, islice(net, 1, None), net))
+    return column
 
 
 def remove_rim_hooks(lam, l: int) -> list[tuple[PartitionT, int]]:

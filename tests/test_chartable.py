@@ -1,5 +1,9 @@
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from fractions import Fraction
@@ -703,6 +707,107 @@ class TestSerialization:
         with pytest.raises(SchemaError) as info:
             table_from_json(doc)
         assert str(info.value) == text
+
+    @pytest.mark.parametrize(
+        "place,text",
+        [
+            (lambda doc, rec: rec, "missing field 'group_name' in table"),
+            (lambda doc, rec: doc["classes"].__setitem__(1, rec), "missing field 'name' in class 1"),
+            (lambda doc, rec: doc["characters"].__setitem__(1, rec),
+             "missing field 'values' in character 1"),
+            (lambda doc, rec: doc.update(metadata=rec),
+             "unknown metadata fields: ['coeffs', 'conductor']"),
+            (lambda doc, rec: doc["characters"][1]["values"].__setitem__(
+                1, {"conductor": 5, "coeffs": [rec] * 4}),
+             "character 1 has a malformed value: coefficients are pairs of integers, "
+             "got ['conductor', 'coeffs']"),
+        ],
+        ids=["document", "class", "character", "metadata", "coefficient"],
+    )
+    def test_value_record_out_of_value_position(self, tmp_path, place, text):
+        # a record that decodes as a value, where no value stands: the loader
+        # gives the text that table_from_json gives on the plain document
+        doc = table_to_json(fixture_table("a5"))
+        doc = place(doc, {"conductor": 3, "coeffs": [[0, 1], [1, 1]]}) or doc
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        for load in (lambda: load_table(path), lambda: table_from_json(json.loads(path.read_text()))):
+            with pytest.raises(SchemaError) as info:
+                load()
+            assert str(info.value) == text
+
+    @pytest.mark.parametrize(
+        "make,digest",
+        [
+            (lambda: direct_product(fixture_table("a7"), fixture_table("m11")),
+             "dc84e4a88738b9c64bb282e62212166daf9e338f980a1dbde5f4fc2b803626d6"),
+            (lambda: direct_product(build_dihedral(10), build_cyclic(8)),
+             "8d3035f955682a7a3c7e50930671c575ada6ab7fb9fc0c3c0d4598058521145c"),
+            (lambda: build_dihedral(256),
+             "b5551faba40743b2b6bae81a079741b55789b930f29d22e08d2f64e139f695ce"),
+        ],
+        ids=["a7xm11", "d20xc8", "d512"],
+    )
+    def test_irrational_files_are_pinned(self, tmp_path, make, digest):
+        save_table(make(), tmp_path / "t.json")
+        assert hashlib.sha256((tmp_path / "t.json").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            pytest.param(
+                Cyclotomic(5, [0, 0, 0, 10**5000]),
+                marks=pytest.mark.skipif(
+                    not hasattr(sys, "get_int_max_str_digits"), reason="Python 3.10 writes any int"
+                ),
+            ),
+            5,
+        ],
+        ids=["5000-digit-coefficient", "int-for-a-value"],
+    )
+    def test_unencodable_table_leaves_no_file(self, tmp_path, value):
+        # the value is the last of the last row, after every line a writer
+        # that opened the file first would already have written
+        t = build_dihedral(5)
+        t = with_row(t, len(t.characters) - 1, t.characters[-1].values[:-1] + (value,))
+        path = tmp_path / "t.json"
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        if limit is not None:
+            sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises((ValueError, AttributeError)):
+                save_table(t, path)
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "setup,call,bound",
+        [
+            ("save_table(build_dihedral(128), path)", "load_table(path)", 8_000_000),
+            ("t = build_dihedral(128)", "save_table(t, path)", 1_000_000),
+        ],
+        ids=["load-d256", "save-d256"],
+    )
+    def test_codec_peak_memory(self, tmp_path, setup, call, bound):
+        # traced peak of one call in a fresh process: the loader decodes each
+        # value as the parser closes it, and the writer forms one row text at a time
+        code = (
+            "import sys, tracemalloc\n"
+            "from charzero.chartable import build_dihedral, load_table, save_table\n"
+            "path = sys.argv[1]\n"
+            f"{setup}\n"
+            "tracemalloc.start()\n"
+            f"{call}\n"
+            "print(tracemalloc.get_traced_memory()[1])\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        run = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "d256.json")],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+        )
+        assert int(run.stdout) < bound, run.stdout
 
     def test_identity_reordered_on_ingest(self):
         doc = table_to_json(build_cyclic(3))
