@@ -100,6 +100,13 @@ class CharacterTable(
 # constructors
 
 
+def _check_int(x, what: str) -> int:
+    # bool is an int subclass, and build_cyclic(True) would make a group "CTrue"
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an int: {x!r}")
+    return x
+
+
 class _Values(dict):
     """The values of one table: one shared Cyclotomic per distinct value, so
     per-value work can be done once per object.  An int key gives the
@@ -158,7 +165,7 @@ def build_symmetric(n: int) -> CharacterTable:
 def build_dihedral(m: int) -> CharacterTable:
     """Character table of the dihedral group D_{2m} = <x, s> of order 2m,
     m >= 3, evaluated at one representative x^j or s*x^k per class."""
-    if m < 3:
+    if _check_int(m, "m") < 3:
         raise ValueError("build_dihedral requires m >= 3")
     order = 2 * m
     even = m % 2 == 0
@@ -203,7 +210,7 @@ def build_dihedral(m: int) -> CharacterTable:
 
 def build_cyclic(n: int) -> CharacterTable:
     """Cyclic group C_n; all characters linear with root-of-unity values."""
-    if n < 1:
+    if _check_int(n, "n") < 1:
         raise ValueError("build_cyclic requires n >= 1")
     classes = tuple(ConjClass(f"x^{k}" if k else "e", 1, n // math.gcd(n, k)) for k in range(n))
     vals = _Values()
@@ -223,7 +230,7 @@ def build_cyclic(n: int) -> CharacterTable:
 
 def build_abelian(invariant_factors: list[int]) -> CharacterTable:
     """Abelian group as a direct product of cyclic groups."""
-    factors = list(invariant_factors)
+    factors = [_check_int(f, "invariant factor") for f in invariant_factors]
     if any(f < 2 for f in factors):
         raise ValueError("invariant factors must be >= 2")
     product = functools.reduce(direct_product, map(build_cyclic, factors or [1]))
@@ -492,26 +499,14 @@ def _require(obj: dict, key: str, kinds, where: str):
     return val
 
 
-class _Record(dict):
-    """A value record that load_table's parser has decoded: value is its
-    Cyclotomic, and the record was cyc_to_json(value).  It is a dict with the
-    record's keys, conductor then coeffs, and the record's repr, so anywhere
-    but a value position it meets table_from_json's checks, and their error
-    texts, as the record would."""
-
-    __slots__ = ("value",)
-
-    def __repr__(self) -> str:
-        return repr(cyc_to_json(self.value))
-
-
 def _record_hook():
-    """A json object_hook that turns each record exactly as cyc_to_json writes
-    an irrational value, {"conductor": n, "coeffs": [[c, 1], ...]} with int
-    n and c, into one shared _Record per distinct record as the parser closes
-    it, so only one record's pair lists are alive at a time.  Any other
-    object is handed on as the parser made it."""
-    records: dict[tuple, _Record] = {}
+    """A json object_hook for records exactly as cyc_to_json writes an
+    irrational value, {"conductor": n, "coeffs": [[c, 1], ...]} with int n
+    and c: every occurrence of one record becomes the dict the parser made
+    for its first, so one copy of its pair lists stays alive and
+    table_from_json decodes it once.  Any other object is handed on as the
+    parser made it."""
+    records: dict[tuple, dict] = {}
 
     def hook(obj: dict):
         if len(obj) != 2 or list(obj) != ["conductor", "coeffs"]:
@@ -521,27 +516,18 @@ def _record_hook():
             nums, ones = zip(*pairs, strict=True)
         except (TypeError, ValueError):  # not a list of pairs
             return obj
+        # per occurrence: a true or 1.0 must not share an equal int record
         if type(n) is not int or {*map(type, nums), *map(type, ones)} != {int} or {*ones} != {1}:
             return obj
-        rec = records.get((n, nums))
-        if rec is None:
-            try:
-                value = Cyclotomic(n, nums)
-            except ValueError:
-                return obj
-            if value.as_integer() is not None:  # cyc_to_json writes it as an int
-                return obj
-            rec = records[n, nums] = _Record(conductor=n, coeffs=nums)
-            rec.value = value
-        return rec
+        return records.setdefault((n, nums), obj)
 
     return hook
 
 
 def table_from_json(data: dict) -> CharacterTable:
     """The table of a decoded JSON document, after every schema check.  A
-    value may stand as an int, as its record, or as a record load_table has
-    already decoded, whose value is interned again like any other."""
+    value stands as an int or as its record; each record object is decoded
+    once, keyed on its id, which data keeps alive until this returns."""
     if not isinstance(data, dict):
         raise SchemaError("table document must be a JSON object")
     name = _require(data, "group_name", str, "table")
@@ -571,6 +557,7 @@ def table_from_json(data: dict) -> CharacterTable:
 
     characters = []
     vals = _Values()
+    decoded = {}
     for i, rc in enumerate(raw_chars):
         if not isinstance(rc, dict):
             raise SchemaError(f"character {i} must be an object")
@@ -585,7 +572,8 @@ def table_from_json(data: dict) -> CharacterTable:
             else:
                 values = tuple(
                     vals[v] if type(v) is int
-                    else vals.intern(v.value if type(v) is _Record else cyc_from_json(v))
+                    else decoded[key] if (key := id(v)) in decoded
+                    else decoded.setdefault(key, vals.intern(cyc_from_json(v)))
                     for v in raw
                 )
         except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
@@ -627,8 +615,8 @@ def table_from_json(data: dict) -> CharacterTable:
 
 
 def save_table(t: CharacterTable, path) -> None:
-    """Write table_to_json(t) as plain JSON, one class and one character per
-    line as json.dumps writes each.  Every distinct value, every name and
+    """Write table_to_json(t) as plain JSON in UTF-8, one class and one
+    character per line as json.dumps writes each.  Every distinct value, every name and
     every line but the character lines is encoded before the file is
     opened, so a table that cannot be encoded leaves no file; each character
     line is then formed from those texts as it is written."""
@@ -644,7 +632,7 @@ def save_table(t: CharacterTable, path) -> None:
         f'\n "classes": [{classes}\n ],\n "characters": ['
     )
     tail = f'\n ],\n "metadata": {json.dumps(doc["metadata"])}\n}}\n'
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write(head)
         sep = "\n  "
         for name, row in zip(names, rows):
@@ -654,12 +642,12 @@ def save_table(t: CharacterTable, path) -> None:
 
 
 def load_table(path) -> CharacterTable:
-    """Read a table file and return table_from_json of its document.  The
-    parser hands each value record to _record_hook as it closes it, so the
-    file's pair lists are never all alive at once, and the entries of one
-    record share one decoded value."""
+    """Read a UTF-8 table file and return table_from_json of its document.
+    The parser hands each value record to _record_hook as it closes it, so
+    the entries of one record share the dict of its first occurrence, and
+    one copy of its pair lists is alive per distinct record."""
     try:
-        data = json.loads(Path(path).read_text(), object_hook=_record_hook())
+        data = json.loads(Path(path).read_text(encoding="utf-8"), object_hook=_record_hook())
     except (ValueError, RecursionError) as exc:
         raise SchemaError(f"malformed JSON: {exc}") from exc
     return table_from_json(data)

@@ -133,14 +133,16 @@ def _cmd_graphs(args) -> int:
     t = a.table
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "pattern.json").write_text(json.dumps(pattern_to_json(a.pattern), indent=1) + "\n")
+    (outdir / "pattern.json").write_text(
+        json.dumps(pattern_to_json(a.pattern), indent=1) + "\n", encoding="utf-8"
+    )
     if args.dot:
         degrees = {ch.name: f"deg={ch.degree}" for ch in t.characters}
         orders = {c.name: f"ord={c.element_order}" for c in t.classes}
-        (outdir / "gamma_v.dot").write_text(to_dot(a.gamma, "gamma_v", degrees))
-        (outdir / "delta_v.dot").write_text(to_dot(a.delta, "delta_v", orders))
+        (outdir / "gamma_v.dot").write_text(to_dot(a.gamma, "gamma_v", degrees), encoding="utf-8")
+        (outdir / "delta_v.dot").write_text(to_dot(a.delta, "delta_v", orders), encoding="utf-8")
         (outdir / "theta.dot").write_text(
-            bipartite_to_dot(a.theta, "theta", {**degrees, **orders})
+            bipartite_to_dot(a.theta, "theta", {**degrees, **orders}), encoding="utf-8"
         )
     return 0
 
@@ -242,7 +244,7 @@ def _cmd_report(args) -> int:
         writer.writeheader()
         writer.writerows(rows)
         text = buf.getvalue()
-    out.write_text(text)
+    out.write_text(text, encoding="utf-8")
     return code
 
 

@@ -292,8 +292,10 @@ def cyc_to_json(v: Cyclotomic):
 
 
 def cyc_from_json(obj) -> Cyclotomic:
-    """Decode cyc_to_json's encoding.  A coefficient pair [num, den] must
-    hold two integers with den dividing num: [4, 2] is 2, [1, 2] is refused."""
+    """Decode cyc_to_json's encoding; the one decoder of a value record, which
+    table_from_json runs once per record object.  A coefficient pair [num,
+    den] must hold two integers with den dividing num: [4, 2] is 2, [1, 2]
+    is refused."""
     if isinstance(obj, bool):
         raise ValueError("booleans are not cyclotomic values")
     if isinstance(obj, int):
@@ -302,11 +304,7 @@ def cyc_from_json(obj) -> Cyclotomic:
         n = obj["conductor"]
         if type(n) is not int:
             raise ValueError(f"conductor must be an integer, got {n!r}")
-        coeffs = [
-            num if type(num) is int and type(den) is int and den == 1 else _quotient(num, den)
-            for num, den in obj["coeffs"]
-        ]
-        return Cyclotomic(n, coeffs)
+        return Cyclotomic(n, [_quotient(num, den) for num, den in obj["coeffs"]])
     raise ValueError(f"cannot decode cyclotomic value from {obj!r}")
 
 

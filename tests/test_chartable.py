@@ -237,8 +237,19 @@ class TestCyclicAbelian:
         (lambda: partitions_of(3.0), "n must be an int: 3.0"),
         (lambda: Character("chi", (root_of_unity(3, 1),)).degree,
          "character chi has non-integer identity value"),
+        # the builders take only ints: True would name a group "CTrue", 2.0 fail in range
+        (lambda: build_cyclic(True), "n must be an int: True"),
+        (lambda: build_cyclic(2.0), "n must be an int: 2.0"),
+        (lambda: build_dihedral(4.0), "m must be an int: 4.0"),
+        (lambda: build_dihedral(True), "m must be an int: True"),
+        (lambda: build_abelian([2.0]), "invariant factor must be an int: 2.0"),
+        (lambda: build_abelian([3, True]), "invariant factor must be an int: True"),
+        (lambda: build_symmetric(2.0), "n must be an int: 2.0"),
+        (lambda: build_symmetric(True), "n must be an int: True"),
     ],
-    ids=["cyclic-0", "partitions-of-minus-1", "partitions-of-float", "degree-zeta3"],
+    ids=["cyclic-0", "partitions-of-minus-1", "partitions-of-float", "degree-zeta3",
+         "cyclic-true", "cyclic-float", "dihedral-float", "dihedral-true", "abelian-float",
+         "abelian-true", "symmetric-float", "symmetric-true"],
 )
 def test_value_error_texts(call, text):
     with pytest.raises(ValueError) as info:
@@ -692,6 +703,7 @@ class TestSerialization:
         "mutate,text",
         [
             (lambda doc: [doc], "table document must be a JSON object"),
+            (lambda doc: doc["classes"].__setitem__(1, 5), "class 1 must be an object"),
             (lambda doc: doc["characters"].__setitem__(1, 5), "character 1 must be an object"),
             (lambda doc: doc.update(metadata=[]), "metadata must be an object"),
             (lambda doc: doc["metadata"].update(color="red"), "unknown metadata fields: ['color']"),
@@ -699,7 +711,8 @@ class TestSerialization:
                 0, cyc_to_json(root_of_unity(5, 1))),
              "character 1 identity value is not a rational integer"),
         ],
-        ids=["document-list", "character-int", "metadata-list", "unknown-metadata", "zeta5-degree"],
+        ids=["document-list", "class-int", "character-int", "metadata-list", "unknown-metadata",
+             "zeta5-degree"],
     )
     def test_schema_error_texts(self, mutate, text):
         doc = table_to_json(fixture_table("a5"))
@@ -721,8 +734,12 @@ class TestSerialization:
                 1, {"conductor": 5, "coeffs": [rec] * 4}),
              "character 1 has a malformed value: coefficients are pairs of integers, "
              "got ['conductor', 'coeffs']"),
+            (lambda doc, rec: doc["characters"][1]["values"].__setitem__(
+                1, {"conductor": rec, "coeffs": [[0, 1], [1, 1]]}),
+             "character 1 has a malformed value: conductor must be an integer, "
+             "got {'conductor': 3, 'coeffs': [[0, 1], [1, 1]]}"),
         ],
-        ids=["document", "class", "character", "metadata", "coefficient"],
+        ids=["document", "class", "character", "metadata", "coefficient", "conductor"],
     )
     def test_value_record_out_of_value_position(self, tmp_path, place, text):
         # a record that decodes as a value, where no value stands: the loader
@@ -791,8 +808,8 @@ class TestSerialization:
         ids=["load-d256", "save-d256"],
     )
     def test_codec_peak_memory(self, tmp_path, setup, call, bound):
-        # traced peak of one call in a fresh process: the loader decodes each
-        # value as the parser closes it, and the writer forms one row text at a time
+        # traced peak of one call in a fresh process: the loader keeps one
+        # dict per distinct value record, and the writer forms one row text at a time
         code = (
             "import sys, tracemalloc\n"
             "from charzero.chartable import build_dihedral, load_table, save_table\n"

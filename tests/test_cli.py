@@ -709,6 +709,34 @@ class TestDotEscaping:
         assert {'chi"3', "3a\\", 'chi"3 deg=3', "3a\\ ord=3"} <= names
 
 
+def test_every_file_is_read_and_written_as_utf8(tmp_path):
+    # a file opened in the locale's encoding raises EncodingWarning under
+    # these flags; A5's group name is written raw, not as a \u escape
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    doc = json.loads((FIXTURE_DIR / "a5.json").read_text(encoding="utf-8"))
+    doc["group_name"] = "A₅"
+    a5 = corpus / "a5.json"
+    a5.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "utf-8"}
+    for argv in (
+        ["gen", "dihedral", "5", "-o", str(corpus / "d10.json")],
+        ["verify", str(corpus)],
+        ["report", str(corpus), "-o", str(tmp_path / "report.csv")],
+        ["analyze", str(a5)],
+        ["graphs", str(a5), "--out", str(tmp_path / "g"), "--dot"],
+    ):
+        run = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "charzero.cli", *argv],
+            env=env, capture_output=True, encoding="utf-8",
+        )
+        assert (run.returncode, run.stderr) == (0, ""), argv
+    assert "A₅" in (tmp_path / "report.csv").read_text(encoding="utf-8")
+    assert load_table(a5).group_name == "A₅"
+
+
 @pytest.fixture(scope="module")
 def large_symmetric(tmp_path_factory):
     """S_13..S_16 as files in one directory, by n."""
