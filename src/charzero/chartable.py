@@ -112,9 +112,13 @@ class _Values(dict):
     per-value work can be done once per object.  An int key gives the
     conductor-1 value of that integer, made on first lookup; intern() files
     every other value under (conductor, coeffs), since Cyclotomic equality
-    crosses conductors and values are not hashable."""
+    crosses conductors and values are not hashable.  table_from_json also
+    files each entry of a document's "values" under its reference "#k"; any
+    other missing key is refused."""
 
     def __missing__(self, k: int) -> Cyclotomic:
+        if type(k) is not int:
+            raise ValueError(f"unknown value reference {k!r}")
         v = self[k] = Cyclotomic.from_rational(k)
         return v
 
@@ -454,23 +458,45 @@ def validate(t: CharacterTable) -> list[str]:
 # serialization
 
 
-def _encoded(t: CharacterTable, encode) -> list[list]:
-    """Each row with every conductor-1 value as its int, as cyc_to_json writes
-    it, and every other value through encode, once per value object: keyed on
-    id(v), which t keeps alive."""
+def _encoded(t: CharacterTable, ref) -> tuple[list[list], list[Cyclotomic]]:
+    """Each row with every rational value as its int and every other value
+    as ref(k), where k indexes the returned list of distinct irrational
+    values, in order of first appearance, row-major.  A value is looked up
+    once per value object, keyed on id(v), which t keeps alive; equal values
+    that are separate objects share one k through (conductor, coeffs)."""
+    refs: dict[tuple, object] = {}
+    distinct: list[Cyclotomic] = []
+
+    def entry(v: Cyclotomic):
+        q = v.as_integer()
+        if q is not None:
+            return q
+        key = (v.conductor, v.coeffs)
+        if key not in refs:
+            refs[key] = ref(len(distinct))
+            distinct.append(v)
+        return refs[key]
+
     enc = {}
-    return [
+    rows = [
         [
             v.coeffs[0] if v.conductor == 1
-            else enc[i] if (i := id(v)) in enc else enc.setdefault(i, encode(v))
+            else enc[i] if (i := id(v)) in enc else enc.setdefault(i, entry(v))
             for v in ch.values
         ]
         for ch in t.characters
     ]
+    return rows, distinct
 
 
 def table_to_json(t: CharacterTable) -> dict:
+    """The JSON document of t.  Each distinct irrational value is written
+    once, as its cyc_to_json record in the top-level list "values", in order
+    of first appearance, row-major; a row entry is an int, or the string "#k"
+    for entry k of "values".  A table with rational values alone has no
+    "values" key."""
     meta = {k: getattr(t.metadata, k) for k in _META_FIELDS if getattr(t.metadata, k) is not None}
+    rows, distinct = _encoded(t, "#{}".format)
     return {
         "group_name": t.group_name,
         "order": t.order,
@@ -483,9 +509,8 @@ def table_to_json(t: CharacterTable) -> dict:
             }
             for c in t.classes
         ],
-        "characters": [
-            {"name": ch.name, "values": v} for ch, v in zip(t.characters, _encoded(t, cyc_to_json))
-        ],
+        **({"values": list(map(cyc_to_json, distinct))} if distinct else {}),
+        "characters": [{"name": ch.name, "values": row} for ch, row in zip(t.characters, rows)],
         "metadata": meta,
     }
 
@@ -526,8 +551,12 @@ def _record_hook():
 
 def table_from_json(data: dict) -> CharacterTable:
     """The table of a decoded JSON document, after every schema check.  A
-    value stands as an int or as its record; each record object is decoded
-    once, keyed on its id, which data keeps alive until this returns."""
+    row entry is an int, a reference "#k" to entry k of the optional list
+    "values", or a value record inline, as files written before "values"
+    existed hold them.  Each record of "values" is decoded once; a row of
+    ints and references is then mapped in one pass.  Each inline record
+    object is decoded once, keyed on its id, which data keeps alive until
+    this returns."""
     if not isinstance(data, dict):
         raise SchemaError("table document must be a JSON object")
     name = _require(data, "group_name", str, "table")
@@ -555,8 +584,14 @@ def table_from_json(data: dict) -> CharacterTable:
             )
         )
 
-    characters = []
     vals = _Values()
+    for k, rec in enumerate(_require(data, "values", list, "table") if "values" in data else ()):
+        try:
+            vals[f"#{k}"] = vals.intern(cyc_from_json(rec))
+        except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+            raise SchemaError(f"entry {k} of 'values' is malformed: {exc}") from exc
+
+    characters = []
     decoded = {}
     for i, rc in enumerate(raw_chars):
         if not isinstance(rc, dict):
@@ -567,11 +602,11 @@ def table_from_json(data: dict) -> CharacterTable:
                 f"character {i} has {len(raw)} values for {len(classes)} classes"
             )
         try:
-            if set(map(type, raw)) == {int}:
+            if set(map(type, raw)) <= {int, str}:
                 values = tuple(map(vals.__getitem__, raw))
             else:
                 values = tuple(
-                    vals[v] if type(v) is int
+                    vals[v] if type(v) in (int, str)
                     else decoded[key] if (key := id(v)) in decoded
                     else decoded.setdefault(key, vals.intern(cyc_from_json(v)))
                     for v in raw
@@ -616,20 +651,23 @@ def table_from_json(data: dict) -> CharacterTable:
 
 def save_table(t: CharacterTable, path) -> None:
     """Write table_to_json(t) as plain JSON in UTF-8, one class and one
-    character per line as json.dumps writes each.  Every distinct value, every name and
-    every line but the character lines is encoded before the file is
-    opened, so a table that cannot be encoded leaves no file; each character
-    line is then formed from those texts as it is written."""
-    # each row as its conductor-1 ints and the texts of its other values; str
-    # gives each distinct entry's text, as json.dumps writes an int
-    rows = _encoded(t, lambda v: json.dumps(cyc_to_json(v)))
+    character per line as json.dumps writes each, and "values" on one line.
+    Every distinct value, every name and every line but the character lines
+    is encoded before the file is opened, so a table that cannot be encoded
+    leaves no file; each character line is then formed from those texts as
+    it is written."""
+    # each row as its ints and the quoted texts of its references; str gives
+    # each distinct entry's text, as json.dumps writes an int or a "#k"
+    rows, distinct = _encoded(t, '"#{}"'.format)
     texts = {x: str(x) for x in set().union(*rows)}
+    records = ", ".join(json.dumps(cyc_to_json(v)) for v in distinct)
+    values = f'\n "values": [{records}],' if distinct else ""
     names = [json.dumps(ch.name) for ch in t.characters]
     doc = table_to_json(t._replace(characters=()))
     classes = ",".join(f"\n  {json.dumps(c)}" for c in doc["classes"])
     head = (
         f'{{\n "group_name": {json.dumps(doc["group_name"])},\n "order": {json.dumps(doc["order"])},'
-        f'\n "classes": [{classes}\n ],\n "characters": ['
+        f'\n "classes": [{classes}\n ],{values}\n "characters": ['
     )
     tail = f'\n ],\n "metadata": {json.dumps(doc["metadata"])}\n}}\n'
     with open(path, "w", encoding="utf-8") as f:
@@ -643,9 +681,12 @@ def save_table(t: CharacterTable, path) -> None:
 
 def load_table(path) -> CharacterTable:
     """Read a UTF-8 table file and return table_from_json of its document.
-    The parser hands each value record to _record_hook as it closes it, so
-    the entries of one record share the dict of its first occurrence, and
-    one copy of its pair lists is alive per distinct record."""
+    A file that save_table wrote holds each distinct irrational value once,
+    in "values", so the parser meets each record once.  In a file with
+    inline records the parser hands each record to _record_hook as it
+    closes it, so the entries of one record share the dict of its first
+    occurrence, and one copy of its pair lists is alive per distinct
+    record."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"), object_hook=_record_hook())
     except (ValueError, RecursionError) as exc:

@@ -298,6 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # a name that stdout's encoding cannot write is escaped, as stderr does,
+    # rather than raised past the rows of every other table
+    if isinstance(sys.stdout, io.TextIOWrapper) and sys.stdout.errors == "strict":
+        sys.stdout.reconfigure(errors="backslashreplace")
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)

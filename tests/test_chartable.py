@@ -411,8 +411,14 @@ def test_save_and_load_keep_table_to_json_on_products(factors):
         path = Path(tmp) / "product.json"
         save_table(t, path)
         loaded = load_table(path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
     assert table_to_json(loaded) == table_to_json(t)
     assert_one_object_per_value(loaded)
+    # each distinct record once, and each one referenced
+    records = [json.dumps(r) for r in doc.get("values", [])]
+    assert len(set(records)) == len(records)
+    refs = {v for ch in doc["characters"] for v in ch["values"] if type(v) is str}
+    assert refs == {f"#{k}" for k in range(len(records))}
 
 
 def reference_save_text(t):
@@ -629,12 +635,17 @@ class TestSerialization:
         assert json.loads(text) == doc
         assert list(json.loads(text)) == list(doc)
         assert table_to_json(load_table(path)) == doc
-        # one class and one character per line
+        # one class and one character per line, and "values", if any, on one line
         lines = text.splitlines()
-        nc, nk = len(t.classes), len(t.characters)
-        assert len(lines) == nc + nk + 9
-        rows = [json.loads(line.rstrip(",")) for line in lines[4 : 4 + nc] + lines[6 + nc : 6 + nc + nk]]
+        nc, nk, nv = len(t.classes), len(t.characters), int("values" in doc)
+        assert len(lines) == nc + nk + nv + 9
+        rows = [
+            json.loads(line.rstrip(","))
+            for line in lines[4 : 4 + nc] + lines[6 + nc + nv : 6 + nc + nv + nk]
+        ]
         assert rows == doc["classes"] + doc["characters"]
+        if nv:
+            assert json.loads("{" + lines[5 + nc].rstrip(",") + "}") == {"values": doc["values"]}
 
     @pytest.mark.parametrize("make", SAVED_TABLES.values(), ids=SAVED_TABLES.keys())
     def test_saved_text_is_json_dumps_of_each_row(self, make):
@@ -710,9 +721,21 @@ class TestSerialization:
             (lambda doc: doc["characters"][1]["values"].__setitem__(
                 0, cyc_to_json(root_of_unity(5, 1))),
              "character 1 identity value is not a rational integer"),
+            (lambda doc: doc.update(values={}), "field 'values' in table has wrong type"),
+            (lambda doc: doc["values"][1].update(conductor=5.0),
+             "entry 1 of 'values' is malformed: conductor must be an integer, got 5.0"),
+            (lambda doc: doc["characters"][1]["values"].__setitem__(3, "#2"),
+             "character 1 has a malformed value: unknown value reference '#2'"),
+            (lambda doc: doc.__delitem__("values"),
+             "character 1 has a malformed value: unknown value reference '#0'"),
+            (lambda doc: doc["characters"][1]["values"].__setitem__(3, "5a"),
+             "character 1 has a malformed value: unknown value reference '5a'"),
+            (lambda doc: doc["characters"][1]["values"].__setitem__(1, True),
+             "character 1 has a malformed value: booleans are not cyclotomic values"),
         ],
         ids=["document-list", "class-int", "character-int", "metadata-list", "unknown-metadata",
-             "zeta5-degree"],
+             "zeta5-degree", "values-object", "values-record", "unknown-reference",
+             "reference-without-values", "string-value", "bool-beside-references"],
     )
     def test_schema_error_texts(self, mutate, text):
         doc = table_to_json(fixture_table("a5"))
@@ -757,17 +780,19 @@ class TestSerialization:
         "make,digest",
         [
             (lambda: direct_product(fixture_table("a7"), fixture_table("m11")),
-             "dc84e4a88738b9c64bb282e62212166daf9e338f980a1dbde5f4fc2b803626d6"),
+             "6029cb6b6780a154c139c8ed47ffec42c43f14666a90843eac984fced05cb10b"),
             (lambda: direct_product(build_dihedral(10), build_cyclic(8)),
-             "8d3035f955682a7a3c7e50930671c575ada6ab7fb9fc0c3c0d4598058521145c"),
+             "0a2b8b91bd7f410f19544c9d1809607c6a87bc82a22e94932836f0ae5b85e0e0"),
             (lambda: build_dihedral(256),
-             "b5551faba40743b2b6bae81a079741b55789b930f29d22e08d2f64e139f695ce"),
+             "ee376e9e8ca6d80d41d8a72870a06fe710468f7841eb3a68342312c366ccbe3a"),
         ],
         ids=["a7xm11", "d20xc8", "d512"],
     )
     def test_irrational_files_are_pinned(self, tmp_path, make, digest):
-        save_table(make(), tmp_path / "t.json")
+        t = make()
+        save_table(t, tmp_path / "t.json")
         assert hashlib.sha256((tmp_path / "t.json").read_bytes()).hexdigest() == digest
+        assert load_table(tmp_path / "t.json") == t
 
     @pytest.mark.parametrize(
         "value",
@@ -803,16 +828,27 @@ class TestSerialization:
         "setup,call,bound",
         [
             ("save_table(build_dihedral(128), path)", "load_table(path)", 8_000_000),
+            # every value record written inline at each entry, as files were
+            # before "values": one json.dumps per row of cyc_to_json records
+            ("t = build_dihedral(128)\n"
+             "rows = [{'name': ch.name, 'values': list(map(cyc_to_json, ch.values))}"
+             " for ch in t.characters]\n"
+             "doc = {**table_to_json(t), 'characters': rows}\n"
+             "del doc['values']\n"
+             "with open(path, 'w', encoding='utf-8') as f: f.write(json.dumps(doc))",
+             "load_table(path)", 8_000_000),
             ("t = build_dihedral(128)", "save_table(t, path)", 1_000_000),
         ],
-        ids=["load-d256", "save-d256"],
+        ids=["load-d256", "load-d256-inline", "save-d256"],
     )
     def test_codec_peak_memory(self, tmp_path, setup, call, bound):
         # traced peak of one call in a fresh process: the loader keeps one
-        # dict per distinct value record, and the writer forms one row text at a time
+        # dict per distinct value record, whether the file lists each once or
+        # writes it at every entry, and the writer forms one row text at a time
         code = (
-            "import sys, tracemalloc\n"
-            "from charzero.chartable import build_dihedral, load_table, save_table\n"
+            "import json, sys, tracemalloc\n"
+            "from charzero.chartable import build_dihedral, load_table, save_table, table_to_json\n"
+            "from charzero.cyclotomic import cyc_to_json\n"
             "path = sys.argv[1]\n"
             f"{setup}\n"
             "tracemalloc.start()\n"

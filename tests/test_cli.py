@@ -737,6 +737,30 @@ def test_every_file_is_read_and_written_as_utf8(tmp_path):
     assert load_table(a5).group_name == "A₅"
 
 
+def test_names_stdout_cannot_encode_are_escaped(tmp_path):
+    # a latin-1 stdout cannot write A₅: the name is escaped, as on stderr,
+    # and the row of every other table is still printed
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    doc = json.loads((FIXTURE_DIR / "a5.json").read_text(encoding="utf-8"))
+    doc["group_name"] = "A₅"
+    a5 = corpus / "a5.json"
+    a5.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    shutil.copy(FIXTURE_DIR / "a6.json", corpus / "a6.json")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "latin-1"}
+    for argv, lines in (
+        (["verify", str(corpus)], ["file,group,flags", f"{a5},A\\u2085,", f"{corpus / 'a6.json'},A6,"]),
+        (["analyze", str(a5)], ["group A\\u2085 of order 60"]),
+    ):
+        run = subprocess.run(
+            [sys.executable, "-m", "charzero.cli", *argv],
+            env=env, capture_output=True, encoding="latin-1",
+        )
+        assert (run.returncode, run.stderr) == (0, ""), argv
+        assert run.stdout.splitlines()[: len(lines)] == lines
+
+
 @pytest.fixture(scope="module")
 def large_symmetric(tmp_path_factory):
     """S_13..S_16 as files in one directory, by n."""

@@ -16,6 +16,7 @@ from charzero.chartable import (
     build_cyclic,
     build_dihedral,
     build_symmetric,
+    load_table,
     save_table,
 )
 from charzero.partitions import mn_value, partitions_of, remove_rim_hooks, z_order
@@ -343,10 +344,12 @@ class TestBuildSymmetricOracle:
         builds += [(build_abelian, f) for f in ABELIAN_FACTOR_LISTS]
         digest = hashlib.sha256()
         for build, arg in builds:
-            save_table(build(arg), tmp_path / "t.json")
+            t = build(arg)
+            save_table(t, tmp_path / "t.json")
             digest.update((tmp_path / "t.json").read_bytes())
+            assert load_table(tmp_path / "t.json") == t
         assert digest.hexdigest() == (
-            "7579d52a1c3a53d4620912da8e863399f70283d6b86561ee2aaf27a1e0b7f377"
+            "88fb94151c602235b22c011efcc789493e6eab3d1f4622921d22646f980815b4"
         )
 
 
