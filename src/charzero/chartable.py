@@ -8,6 +8,7 @@ ingested from the JSON schema and gated by validate().
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import operator
@@ -113,7 +114,7 @@ class _Values(dict):
     conductor-1 value of that integer, made on first lookup; intern() files
     every other value under (conductor, coeffs), since Cyclotomic equality
     crosses conductors and values are not hashable.  table_from_json also
-    files each entry of a document's "values" under its reference "#k"; any
+    files the k-th value record of a document under its reference "#k"; any
     other missing key is refused."""
 
     def __missing__(self, k: int) -> Cyclotomic:
@@ -458,45 +459,50 @@ def validate(t: CharacterTable) -> list[str]:
 # serialization
 
 
-def _encoded(t: CharacterTable, ref) -> tuple[list[list], list[Cyclotomic]]:
+def _encoded(t: CharacterTable) -> tuple[list[list], list[tuple]]:
     """Each row with every rational value as its int and every other value
-    as ref(k), where k indexes the returned list of distinct irrational
-    values, in order of first appearance, row-major.  A value is looked up
-    once per value object, keyed on id(v), which t keeps alive; equal values
-    that are separate objects share one k through (conductor, coeffs)."""
-    refs: dict[tuple, object] = {}
-    distinct: list[Cyclotomic] = []
-
-    def entry(v: Cyclotomic):
-        q = v.as_integer()
-        if q is not None:
-            return q
-        key = (v.conductor, v.coeffs)
-        if key not in refs:
-            refs[key] = ref(len(distinct))
-            distinct.append(v)
-        return refs[key]
-
+    as "#k", where k counts the distinct irrational values in order of first
+    appearance, row-major; with (r, "#k", v) for each, in order of k, where
+    r is the row of its first occurrence, the entry that takes its record.
+    A value is looked up once per value object, keyed on id(v), which t
+    keeps alive; equal values that are separate objects share one k through
+    (conductor, coeffs)."""
+    refs: dict[tuple, str] = {}
+    firsts: list[tuple] = []
     enc = {}
+
+    def entry(v: Cyclotomic, i: int, r: int):
+        q = v.as_integer()
+        if q is None:
+            key = (v.conductor, v.coeffs)
+            if key not in refs:
+                refs[key] = f"#{len(refs)}"
+                firsts.append((r, refs[key], v))
+            q = refs[key]
+        enc[i] = q
+        return q
+
     rows = [
         [
             v.coeffs[0] if v.conductor == 1
-            else enc[i] if (i := id(v)) in enc else enc.setdefault(i, entry(v))
+            else enc[i] if (i := id(v)) in enc else entry(v, i, r)
             for v in ch.values
         ]
-        for ch in t.characters
+        for r, ch in enumerate(t.characters)
     ]
-    return rows, distinct
+    return rows, firsts
 
 
 def table_to_json(t: CharacterTable) -> dict:
-    """The JSON document of t.  Each distinct irrational value is written
-    once, as its cyc_to_json record in the top-level list "values", in order
-    of first appearance, row-major; a row entry is an int, or the string "#k"
-    for entry k of "values".  A table with rational values alone has no
-    "values" key."""
+    """The JSON document of t.  A row entry is an int for a rational value.
+    Each distinct irrational value is written once, as its cyc_to_json
+    record at its first occurrence, row-major; every later occurrence is
+    the string "#k" for the k-th record of the document, counted from 0.  A
+    table with rational values alone holds no record and no reference."""
     meta = {k: getattr(t.metadata, k) for k in _META_FIELDS if getattr(t.metadata, k) is not None}
-    rows, distinct = _encoded(t, "#{}".format)
+    rows, firsts = _encoded(t)
+    for r, ref, v in firsts:
+        rows[r][rows[r].index(ref)] = cyc_to_json(v)
     return {
         "group_name": t.group_name,
         "order": t.order,
@@ -509,7 +515,6 @@ def table_to_json(t: CharacterTable) -> dict:
             }
             for c in t.classes
         ],
-        **({"values": list(map(cyc_to_json, distinct))} if distinct else {}),
         "characters": [{"name": ch.name, "values": row} for ch, row in zip(t.characters, rows)],
         "metadata": meta,
     }
@@ -551,12 +556,13 @@ def _record_hook():
 
 def table_from_json(data: dict) -> CharacterTable:
     """The table of a decoded JSON document, after every schema check.  A
-    row entry is an int, a reference "#k" to entry k of the optional list
-    "values", or a value record inline, as files written before "values"
-    existed hold them.  Each record of "values" is decoded once; a row of
-    ints and references is then mapped in one pass.  Each inline record
-    object is decoded once, keyed on its id, which data keeps alive until
-    this returns."""
+    row entry is an int, a value record, or a reference "#k" to the k-th
+    record of the document, counted from 0, row-major, which must come
+    before it.  A row of ints and references is mapped in one pass; a row
+    with a record is walked entry by entry.  Files written before references
+    existed hold a record at every irrational entry: each record object is
+    decoded once, keyed on its id, which data keeps alive until this
+    returns."""
     if not isinstance(data, dict):
         raise SchemaError("table document must be a JSON object")
     name = _require(data, "group_name", str, "table")
@@ -585,14 +591,17 @@ def table_from_json(data: dict) -> CharacterTable:
         )
 
     vals = _Values()
-    for k, rec in enumerate(_require(data, "values", list, "table") if "values" in data else ()):
-        try:
-            vals[f"#{k}"] = vals.intern(cyc_from_json(rec))
-        except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
-            raise SchemaError(f"entry {k} of 'values' is malformed: {exc}") from exc
+    decoded = {}
+    ks = itertools.count()
+
+    def value(v):
+        if type(v) in (int, str):
+            return vals[v]
+        x = decoded[i] if (i := id(v)) in decoded else decoded.setdefault(i, vals.intern(cyc_from_json(v)))
+        vals[f"#{next(ks)}"] = x
+        return x
 
     characters = []
-    decoded = {}
     for i, rc in enumerate(raw_chars):
         if not isinstance(rc, dict):
             raise SchemaError(f"character {i} must be an object")
@@ -605,12 +614,7 @@ def table_from_json(data: dict) -> CharacterTable:
             if set(map(type, raw)) <= {int, str}:
                 values = tuple(map(vals.__getitem__, raw))
             else:
-                values = tuple(
-                    vals[v] if type(v) in (int, str)
-                    else decoded[key] if (key := id(v)) in decoded
-                    else decoded.setdefault(key, vals.intern(cyc_from_json(v)))
-                    for v in raw
-                )
+                values = tuple(map(value, raw))
         except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
             raise SchemaError(f"character {i} has a malformed value: {exc}") from exc
         characters.append(Character(name=_require(rc, "name", str, f"character {i}"), values=values))
@@ -651,23 +655,23 @@ def table_from_json(data: dict) -> CharacterTable:
 
 def save_table(t: CharacterTable, path) -> None:
     """Write table_to_json(t) as plain JSON in UTF-8, one class and one
-    character per line as json.dumps writes each, and "values" on one line.
-    Every distinct value, every name and every line but the character lines
-    is encoded before the file is opened, so a table that cannot be encoded
-    leaves no file; each character line is then formed from those texts as
-    it is written."""
-    # each row as its ints and the quoted texts of its references; str gives
-    # each distinct entry's text, as json.dumps writes an int or a "#k"
-    rows, distinct = _encoded(t, '"#{}"'.format)
-    texts = {x: str(x) for x in set().union(*rows)}
-    records = ", ".join(json.dumps(cyc_to_json(v)) for v in distinct)
-    values = f'\n "values": [{records}],' if distinct else ""
+    character per line as json.dumps writes each.  Every distinct row entry,
+    every name and every line but the character lines is encoded before the
+    file is opened, so a table that cannot be encoded leaves no file; each
+    character line is then formed from those texts as it is written."""
+    # each distinct entry's text, as json.dumps writes an int or a "#k"; each
+    # record's text stands in its row as its own key
+    rows, firsts = _encoded(t)
+    texts = {x: f'"{x}"' if type(x) is str else str(x) for x in set().union(*rows)}
+    for r, ref, v in firsts:
+        rows[r][rows[r].index(ref)] = text = json.dumps(cyc_to_json(v))
+        texts[text] = text
     names = [json.dumps(ch.name) for ch in t.characters]
     doc = table_to_json(t._replace(characters=()))
     classes = ",".join(f"\n  {json.dumps(c)}" for c in doc["classes"])
     head = (
         f'{{\n "group_name": {json.dumps(doc["group_name"])},\n "order": {json.dumps(doc["order"])},'
-        f'\n "classes": [{classes}\n ],{values}\n "characters": ['
+        f'\n "classes": [{classes}\n ],\n "characters": ['
     )
     tail = f'\n ],\n "metadata": {json.dumps(doc["metadata"])}\n}}\n'
     with open(path, "w", encoding="utf-8") as f:
@@ -681,12 +685,12 @@ def save_table(t: CharacterTable, path) -> None:
 
 def load_table(path) -> CharacterTable:
     """Read a UTF-8 table file and return table_from_json of its document.
-    A file that save_table wrote holds each distinct irrational value once,
-    in "values", so the parser meets each record once.  In a file with
-    inline records the parser hands each record to _record_hook as it
-    closes it, so the entries of one record share the dict of its first
-    occurrence, and one copy of its pair lists is alive per distinct
-    record."""
+    A file that save_table wrote holds each distinct irrational value's
+    record once, so the parser meets each record once.  In a file written
+    before references existed, with a record at every irrational entry, the
+    parser hands each record to _record_hook as it closes it, so the entries
+    of one record share the dict of its first occurrence, and one copy of
+    its pair lists is alive per distinct record."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"), object_hook=_record_hook())
     except (ValueError, RecursionError) as exc:

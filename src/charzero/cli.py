@@ -299,9 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     # a name that stdout's encoding cannot write is escaped, as stderr does,
-    # rather than raised past the rows of every other table
-    if isinstance(sys.stdout, io.TextIOWrapper) and sys.stdout.errors == "strict":
-        sys.stdout.reconfigure(errors="backslashreplace")
+    # rather than raised past the rows of every other table; the caller's
+    # stdout gets its own setting back on return
+    out = sys.stdout
+    strict = isinstance(out, io.TextIOWrapper) and out.errors == "strict"
+    if strict:
+        out.reconfigure(errors="backslashreplace")
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
@@ -311,6 +314,9 @@ def main(argv=None) -> int:
         text = exc
     except Exception as exc:  # never a traceback
         text = f"{type(exc).__name__}: {exc}"
+    finally:
+        if strict:
+            out.reconfigure(errors="strict")
     print(f"error: {text}", file=sys.stderr)
     return 2
 

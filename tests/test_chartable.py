@@ -414,11 +414,18 @@ def test_save_and_load_keep_table_to_json_on_products(factors):
         doc = json.loads(path.read_text(encoding="utf-8"))
     assert table_to_json(loaded) == table_to_json(t)
     assert_one_object_per_value(loaded)
-    # each distinct record once, and each one referenced
-    records = [json.dumps(r) for r in doc.get("values", [])]
+    # each distinct irrational value's record once, and each reference after
+    # the record it names
+    records = []
+    for v in (v for ch in doc["characters"] for v in ch["values"]):
+        if type(v) is dict:
+            records.append(json.dumps(v))
+        elif type(v) is str:
+            assert int(v.removeprefix("#")) < len(records)
     assert len(set(records)) == len(records)
-    refs = {v for ch in doc["characters"] for v in ch["values"] if type(v) is str}
-    assert refs == {f"#{k}" for k in range(len(records))}
+    assert len(records) == len({
+        (v.conductor, v.coeffs) for ch in t.characters for v in ch.values if v.as_integer() is None
+    })
 
 
 def reference_save_text(t):
@@ -635,17 +642,12 @@ class TestSerialization:
         assert json.loads(text) == doc
         assert list(json.loads(text)) == list(doc)
         assert table_to_json(load_table(path)) == doc
-        # one class and one character per line, and "values", if any, on one line
+        # one class and one character per line
         lines = text.splitlines()
-        nc, nk, nv = len(t.classes), len(t.characters), int("values" in doc)
-        assert len(lines) == nc + nk + nv + 9
-        rows = [
-            json.loads(line.rstrip(","))
-            for line in lines[4 : 4 + nc] + lines[6 + nc + nv : 6 + nc + nv + nk]
-        ]
+        nc, nk = len(t.classes), len(t.characters)
+        assert len(lines) == nc + nk + 9
+        rows = [json.loads(line.rstrip(",")) for line in lines[4 : 4 + nc] + lines[6 + nc : 6 + nc + nk]]
         assert rows == doc["classes"] + doc["characters"]
-        if nv:
-            assert json.loads("{" + lines[5 + nc].rstrip(",") + "}") == {"values": doc["values"]}
 
     @pytest.mark.parametrize("make", SAVED_TABLES.values(), ids=SAVED_TABLES.keys())
     def test_saved_text_is_json_dumps_of_each_row(self, make):
@@ -721,21 +723,21 @@ class TestSerialization:
             (lambda doc: doc["characters"][1]["values"].__setitem__(
                 0, cyc_to_json(root_of_unity(5, 1))),
              "character 1 identity value is not a rational integer"),
-            (lambda doc: doc.update(values={}), "field 'values' in table has wrong type"),
-            (lambda doc: doc["values"][1].update(conductor=5.0),
-             "entry 1 of 'values' is malformed: conductor must be an integer, got 5.0"),
-            (lambda doc: doc["characters"][1]["values"].__setitem__(3, "#2"),
-             "character 1 has a malformed value: unknown value reference '#2'"),
-            (lambda doc: doc.__delitem__("values"),
+            # row 1 holds the records #0 and #1 at entries 3 and 4; row 2 refers to both
+            (lambda doc: doc["characters"][1]["values"][4].update(conductor=5.0),
+             "character 1 has a malformed value: conductor must be an integer, got 5.0"),
+            (lambda doc: doc["characters"][2]["values"].__setitem__(3, "#2"),
+             "character 2 has a malformed value: unknown value reference '#2'"),
+            (lambda doc: doc["characters"][1]["values"].__setitem__(3, "#0"),
              "character 1 has a malformed value: unknown value reference '#0'"),
-            (lambda doc: doc["characters"][1]["values"].__setitem__(3, "5a"),
-             "character 1 has a malformed value: unknown value reference '5a'"),
-            (lambda doc: doc["characters"][1]["values"].__setitem__(1, True),
-             "character 1 has a malformed value: booleans are not cyclotomic values"),
+            (lambda doc: doc["characters"][2]["values"].__setitem__(3, "5a"),
+             "character 2 has a malformed value: unknown value reference '5a'"),
+            (lambda doc: doc["characters"][2]["values"].__setitem__(1, True),
+             "character 2 has a malformed value: booleans are not cyclotomic values"),
         ],
         ids=["document-list", "class-int", "character-int", "metadata-list", "unknown-metadata",
-             "zeta5-degree", "values-object", "values-record", "unknown-reference",
-             "reference-without-values", "string-value", "bool-beside-references"],
+             "zeta5-degree", "record-conductor", "unknown-reference",
+             "reference-before-record", "string-value", "bool-beside-references"],
     )
     def test_schema_error_texts(self, mutate, text):
         doc = table_to_json(fixture_table("a5"))
@@ -780,11 +782,11 @@ class TestSerialization:
         "make,digest",
         [
             (lambda: direct_product(fixture_table("a7"), fixture_table("m11")),
-             "6029cb6b6780a154c139c8ed47ffec42c43f14666a90843eac984fced05cb10b"),
+             "83e4dfac8fd65b5b7e3cb0eda5fe8d6ca1167b70b60aff27095dd2816e7c102e"),
             (lambda: direct_product(build_dihedral(10), build_cyclic(8)),
-             "0a2b8b91bd7f410f19544c9d1809607c6a87bc82a22e94932836f0ae5b85e0e0"),
+             "816f8815fa2f9dcc6797eaca87133aeb710d9c76b06ec5c5cb2bdf72ed60f6a9"),
             (lambda: build_dihedral(256),
-             "ee376e9e8ca6d80d41d8a72870a06fe710468f7841eb3a68342312c366ccbe3a"),
+             "d49ce05ed4811f2c470a1115658144e01f59773597d5d58177c1bf241a84c9ac"),
         ],
         ids=["a7xm11", "d20xc8", "d512"],
     )
@@ -828,13 +830,12 @@ class TestSerialization:
         "setup,call,bound",
         [
             ("save_table(build_dihedral(128), path)", "load_table(path)", 8_000_000),
-            # every value record written inline at each entry, as files were
-            # before "values": one json.dumps per row of cyc_to_json records
+            # a record at every irrational entry, as files were written before
+            # references: one json.dumps per row of cyc_to_json records
             ("t = build_dihedral(128)\n"
              "rows = [{'name': ch.name, 'values': list(map(cyc_to_json, ch.values))}"
              " for ch in t.characters]\n"
              "doc = {**table_to_json(t), 'characters': rows}\n"
-             "del doc['values']\n"
              "with open(path, 'w', encoding='utf-8') as f: f.write(json.dumps(doc))",
              "load_table(path)", 8_000_000),
             ("t = build_dihedral(128)", "save_table(t, path)", 1_000_000),
@@ -843,8 +844,8 @@ class TestSerialization:
     )
     def test_codec_peak_memory(self, tmp_path, setup, call, bound):
         # traced peak of one call in a fresh process: the loader keeps one
-        # dict per distinct value record, whether the file lists each once or
-        # writes it at every entry, and the writer forms one row text at a time
+        # dict per distinct value record, whether the file writes each once or
+        # at every entry, and the writer forms one row text at a time
         code = (
             "import json, sys, tracemalloc\n"
             "from charzero.chartable import build_dihedral, load_table, save_table, table_to_json\n"

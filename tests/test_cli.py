@@ -761,6 +761,21 @@ def test_names_stdout_cannot_encode_are_escaped(tmp_path):
         assert run.stdout.splitlines()[: len(lines)] == lines
 
 
+def test_main_gives_stdout_its_errors_setting_back(tmp_path, monkeypatch):
+    doc = json.loads((FIXTURE_DIR / "a5.json").read_text(encoding="utf-8"))
+    doc["group_name"] = "A₅"
+    a5 = tmp_path / "a5.json"
+    a5.write_text(json.dumps(doc), encoding="utf-8")
+    out = io.TextIOWrapper(io.BytesIO(), encoding="latin-1")
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["analyze", str(a5)]) == 0
+    assert out.errors == "strict"
+    out.flush()
+    assert out.buffer.getvalue().startswith(b"group A\\u2085 of order 60\n")
+    with pytest.raises(UnicodeEncodeError):
+        print("A₅", file=out)
+
+
 @pytest.fixture(scope="module")
 def large_symmetric(tmp_path_factory):
     """S_13..S_16 as files in one directory, by n."""

@@ -349,7 +349,7 @@ class TestBuildSymmetricOracle:
             digest.update((tmp_path / "t.json").read_bytes())
             assert load_table(tmp_path / "t.json") == t
         assert digest.hexdigest() == (
-            "88fb94151c602235b22c011efcc789493e6eab3d1f4622921d22646f980815b4"
+            "e777ecba407381a8ca04f40d4a03562fbb688cf76bc59120d8cd30daa5aeb783"
         )
 
 
