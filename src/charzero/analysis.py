@@ -110,8 +110,9 @@ class TableAnalysis:
         if "covers" in checks or "witnesses" in checks:
             try:
                 cover = self.cover
-            except hcover.NoCoverError as exc:
-                flags.append(f"covers:{exc}")
+            except hcover.NoCoverError as exc:  # no cover leaves no witness to check
+                if "covers" in checks:
+                    flags.append(f"covers:{exc}")
         if "covers" in checks and cover is not None:
             flags += [f"covers:{text}" for text in hcover.cover_flags(m, cover.k_min)]
         if "witnesses" in checks and cover is not None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import marshal
 import math
 import operator
 from collections import Counter, namedtuple
@@ -459,50 +460,44 @@ def validate(t: CharacterTable) -> list[str]:
 # serialization
 
 
-def _encoded(t: CharacterTable) -> tuple[list[list], list[tuple]]:
-    """Each row with every rational value as its int and every other value
-    as "#k", where k counts the distinct irrational values in order of first
-    appearance, row-major; with (r, "#k", v) for each, in order of k, where
-    r is the row of its first occurrence, the entry that takes its record.
-    A value is looked up once per value object, keyed on id(v), which t
-    keeps alive; equal values that are separate objects share one k through
-    (conductor, coeffs)."""
+def _encoded(t: CharacterTable, record) -> list[list]:
+    """The rows of t: a rational value as its int, and each distinct
+    irrational value as record(v) where it is first met, row-major, then as
+    "#k" for the k-th distinct one.  A value is looked up once per value
+    object, keyed on id(v), which t keeps alive; equal values that are
+    separate objects share one k through (conductor, coeffs)."""
     refs: dict[tuple, str] = {}
-    firsts: list[tuple] = []
     enc = {}
 
-    def entry(v: Cyclotomic, i: int, r: int):
+    def entry(v: Cyclotomic, i: int):
         q = v.as_integer()
         if q is None:
             key = (v.conductor, v.coeffs)
             if key not in refs:
-                refs[key] = f"#{len(refs)}"
-                firsts.append((r, refs[key], v))
+                refs[key] = enc[i] = f"#{len(refs)}"
+                return record(v)
             q = refs[key]
         enc[i] = q
         return q
 
-    rows = [
+    return [
         [
             v.coeffs[0] if v.conductor == 1
-            else enc[i] if (i := id(v)) in enc else entry(v, i, r)
+            else enc[i] if (i := id(v)) in enc else entry(v, i)
             for v in ch.values
         ]
-        for r, ch in enumerate(t.characters)
+        for ch in t.characters
     ]
-    return rows, firsts
 
 
 def table_to_json(t: CharacterTable) -> dict:
     """The JSON document of t.  A row entry is an int for a rational value.
     Each distinct irrational value is written once, as its cyc_to_json
-    record at its first occurrence, row-major; every later occurrence is
-    the string "#k" for the k-th record of the document, counted from 0.  A
+    record where it is first met, row-major; every later occurrence is the
+    string "#k" for the k-th record of the document, counted from 0.  A
     table with rational values alone holds no record and no reference."""
     meta = {k: getattr(t.metadata, k) for k in _META_FIELDS if getattr(t.metadata, k) is not None}
-    rows, firsts = _encoded(t)
-    for r, ref, v in firsts:
-        rows[r][rows[r].index(ref)] = cyc_to_json(v)
+    rows = _encoded(t, cyc_to_json)
     return {
         "group_name": t.group_name,
         "order": t.order,
@@ -530,26 +525,17 @@ def _require(obj: dict, key: str, kinds, where: str):
 
 
 def _record_hook():
-    """A json object_hook for records exactly as cyc_to_json writes an
-    irrational value, {"conductor": n, "coeffs": [[c, 1], ...]} with int n
-    and c: every occurrence of one record becomes the dict the parser made
-    for its first, so one copy of its pair lists stays alive and
-    table_from_json decodes it once.  Any other object is handed on as the
-    parser made it."""
-    records: dict[tuple, dict] = {}
+    """A json object_hook: every object whose keys are exactly "conductor"
+    then "coeffs" becomes the first such dict with the same marshal bytes, so
+    one copy of a repeated record stays alive and table_from_json decodes it
+    once.  marshal writes each JSON type distinctly, so equal bytes mean
+    equal values of equal types: true, 1.0 and 1 never share a record."""
+    records: dict[bytes, dict] = {}
 
     def hook(obj: dict):
         if len(obj) != 2 or list(obj) != ["conductor", "coeffs"]:
             return obj
-        n, pairs = obj.values()
-        try:
-            nums, ones = zip(*pairs, strict=True)
-        except (TypeError, ValueError):  # not a list of pairs
-            return obj
-        # per occurrence: a true or 1.0 must not share an equal int record
-        if type(n) is not int or {*map(type, nums), *map(type, ones)} != {int} or {*ones} != {1}:
-            return obj
-        return records.setdefault((n, nums), obj)
+        return records.setdefault(marshal.dumps(obj), obj)
 
     return hook
 
@@ -658,14 +644,12 @@ def save_table(t: CharacterTable, path) -> None:
     character per line as json.dumps writes each.  Every distinct row entry,
     every name and every line but the character lines is encoded before the
     file is opened, so a table that cannot be encoded leaves no file; each
-    character line is then formed from those texts as it is written."""
-    # each distinct entry's text, as json.dumps writes an int or a "#k"; each
-    # record's text stands in its row as its own key
-    rows, firsts = _encoded(t)
-    texts = {x: f'"{x}"' if type(x) is str else str(x) for x in set().union(*rows)}
-    for r, ref, v in firsts:
-        rows[r][rows[r].index(ref)] = text = json.dumps(cyc_to_json(v))
-        texts[text] = text
+    character line is then formed from those texts as it is written.  A
+    record's dict is freed once its text is formed."""
+    rows = _encoded(t, lambda v: json.dumps(cyc_to_json(v)))
+    # each distinct entry's text, as json.dumps writes an int or a "#k"; a
+    # record's text stands as it is
+    texts = {x: f'"{x}"' if str(x)[0] == "#" else str(x) for x in set().union(*rows)}
     names = [json.dumps(ch.name) for ch in t.characters]
     doc = table_to_json(t._replace(characters=()))
     classes = ",".join(f"\n  {json.dumps(c)}" for c in doc["classes"])

@@ -114,6 +114,18 @@ def test_flags_of_a_table_validate_refuses():
     ]
 
 
+def test_no_cover_is_not_a_witness_flag():
+    # the S3 above without a cover: the no-cover text is a covers flag, and
+    # with no cover there is no witness to check
+    t = build_symmetric(3)
+    chi = t.characters[1]._replace(values=t.characters[1].values[:2] + (Cyclotomic.one(),))
+    bad = t._replace(characters=(t.characters[0], chi, t.characters[2]))
+    assert TableAnalysis(bad).flags(("witnesses",)) == []
+    assert TableAnalysis(bad).flags(("covers",)) == [
+        "covers:a nonlinear character of S3 never vanishes"
+    ]
+
+
 def test_a_witness_that_misses_a_character_is_flagged(golden_tables, monkeypatch):
     real = hcover.min_cover
     monkeypatch.setattr(hcover, "min_cover", lambda p: real(p)._replace(witness=()))

@@ -288,6 +288,10 @@ def _set_coefficient(pair):
     return lambda doc: doc["characters"][1]["values"][3]["coeffs"].__setitem__(0, pair)
 
 
+def _set_later_coefficient(pair):
+    return lambda doc: doc["characters"][2]["values"][4]["coeffs"].__setitem__(0, pair)
+
+
 def _set_order(value):
     return lambda doc: doc.update(order=value)
 
@@ -317,6 +321,10 @@ MALFORMED = {
     "coefficient-bool-numerator": _set_coefficient([True, 1]),
     "coefficient-bool-denominator": _set_coefficient([2, True]),
     "coefficient-half": _set_coefficient([1, 2]),
+    # a later occurrence of row 1's record at entry 3, equal to it but for the
+    # type of one numerator: the loader must not share the valid record
+    "repeated-record-bool-numerator": _set_later_coefficient([False, 1]),
+    "repeated-record-float-numerator": _set_later_coefficient([0.0, 1]),
     # rows of ints alone are decoded without the per-value checks; these are not
     "value-bool-in-integer-row": lambda doc: doc["characters"][0]["values"].__setitem__(1, True),
     "value-float-in-integer-row": lambda doc: doc["characters"][4]["values"].__setitem__(1, 1.0),
