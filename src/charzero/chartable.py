@@ -48,9 +48,6 @@ class SchemaError(ValueError):
     """The input does not conform to the table JSON schema."""
 
 
-ConjClass = namedtuple("ConjClass", "name size element_order label", defaults=(None,))
-
-
 class Character(namedtuple("Character", "name values")):
     __slots__ = ()
 
@@ -61,6 +58,11 @@ class Character(namedtuple("Character", "name values")):
             raise ValueError(f"character {self.name} has non-integer identity value")
         return d
 
+
+# class record field -> the type its value must have; a record may also hold
+# a "label", a list of integers, which ConjClass keeps as a tuple
+_CLASS_FIELDS = {"name": str, "size": int, "element_order": int}
+ConjClass = namedtuple("ConjClass", [*_CLASS_FIELDS, "label"], defaults=(None,))
 
 # metadata field -> the type its value must have when it is not null
 _META_FIELDS = {
@@ -246,20 +248,11 @@ def build_abelian(invariant_factors: list[int]) -> CharacterTable:
     return product._replace(group_name="x".join(f"C{f}" for f in factors or [1]), metadata=meta)
 
 
-def _combine_metadata(a: TableMetadata, b: TableMetadata) -> TableMetadata:
-    def both_and(x, y):
-        return (x and y) if (x is not None and y is not None) else None
-
-    solvable = both_and(a.solvable, b.solvable)
-    nilpotent = both_and(a.nilpotent, b.nilpotent)
-    fh = None
-    if solvable and a.fitting_height is not None and b.fitting_height is not None:
-        fh = max(a.fitting_height, b.fitting_height)
-    return TableMetadata(solvable=solvable, nilpotent=nilpotent, fitting_height=fh)
-
-
 def direct_product(a: CharacterTable, b: CharacterTable) -> CharacterTable:
-    """Kronecker construction: paired classes, pairwise character products."""
+    """Kronecker construction: paired classes, pairwise character products.
+    A x B is solvable (nilpotent) iff A and B are: false if either's fact is
+    false, else unknown if either's is unknown, else true.  Its Fitting height
+    is the larger when it is solvable and both are known; no other fact is set."""
     classes = tuple(
         ConjClass(
             name=f"{ca.name}|{cb.name}",
@@ -288,12 +281,16 @@ def direct_product(a: CharacterTable, b: CharacterTable) -> CharacterTable:
         for xa in a.characters
         for xb in b.characters
     )
+    ma, mb = a.metadata, b.metadata
+    solvable, nilpotent = (
+        False if False in facts else facts[0] and facts[1]
+        for facts in ((ma.solvable, mb.solvable), (ma.nilpotent, mb.nilpotent))
+    )
+    heights = (ma.fitting_height, mb.fitting_height)
+    fitting_height = max(heights) if solvable and None not in heights else None
+    meta = TableMetadata(solvable=solvable, nilpotent=nilpotent, fitting_height=fitting_height)
     return CharacterTable(
-        group_name=f"{a.group_name}x{b.group_name}",
-        order=a.order * b.order,
-        classes=classes,
-        characters=characters,
-        metadata=_combine_metadata(a.metadata, b.metadata),
+        f"{a.group_name}x{b.group_name}", a.order * b.order, classes, characters, meta
     )
 
 
@@ -491,23 +488,18 @@ def _encoded(t: CharacterTable, record) -> list[list]:
 
 
 def table_to_json(t: CharacterTable) -> dict:
-    """The JSON document of t.  A row entry is an int for a rational value.
-    Each distinct irrational value is written once, as its cyc_to_json
-    record where it is first met, row-major; every later occurrence is the
-    string "#k" for the k-th record of the document, counted from 0.  A
-    table with rational values alone holds no record and no reference."""
+    """The JSON document of t.  A class record holds its class's fields of
+    _CLASS_FIELDS in that order, then "label" when one is set.  A row entry
+    is an int for a rational value.  Each distinct irrational value is
+    written once, as its cyc_to_json record where it is first met,
+    row-major; every later one is "#k" for the k-th record, counted from 0."""
     meta = {k: getattr(t.metadata, k) for k in _META_FIELDS if getattr(t.metadata, k) is not None}
     rows = _encoded(t, cyc_to_json)
     return {
         "group_name": t.group_name,
         "order": t.order,
         "classes": [
-            {
-                "name": c.name,
-                "size": c.size,
-                "element_order": c.element_order,
-                **({"label": list(c.label)} if c.label is not None else {}),
-            }
+            dict(zip(_CLASS_FIELDS, c)) | ({"label": list(c.label)} if c.label is not None else {})
             for c in t.classes
         ],
         "characters": [{"name": ch.name, "values": row} for ch, row in zip(t.characters, rows)],
@@ -541,14 +533,14 @@ def _record_hook():
 
 
 def table_from_json(data: dict) -> CharacterTable:
-    """The table of a decoded JSON document, after every schema check.  A
-    row entry is an int, a value record, or a reference "#k" to the k-th
-    record of the document, counted from 0, row-major, which must come
-    before it.  A row of ints and references is mapped in one pass; a row
-    with a record is walked entry by entry.  Files written before references
-    existed hold a record at every irrational entry: each record object is
-    decoded once, keyed on its id, which data keeps alive until this
-    returns."""
+    """The table of a decoded JSON document, after every schema check; a
+    class's label is checked before its _CLASS_FIELDS, in their order.  A row
+    entry is an int, a value record, or a reference "#k" to the k-th record
+    of the document, counted from 0, row-major, which must come before it.
+    A row of ints and references is mapped in one pass; a row with a record
+    is walked entry by entry.  Files written before references existed hold
+    a record at every irrational entry: each record object is decoded once,
+    keyed on its id, which data keeps alive until this returns."""
     if not isinstance(data, dict):
         raise SchemaError("table document must be a JSON object")
     name = _require(data, "group_name", str, "table")
@@ -569,9 +561,7 @@ def table_from_json(data: dict) -> CharacterTable:
             raise SchemaError(f"field 'label' in class {i} must be a list of integers")
         classes.append(
             ConjClass(
-                name=_require(rc, "name", str, f"class {i}"),
-                size=_require(rc, "size", int, f"class {i}"),
-                element_order=_require(rc, "element_order", int, f"class {i}"),
+                *(_require(rc, key, kind, f"class {i}") for key, kind in _CLASS_FIELDS.items()),
                 label=tuple(label) if label is not None else None,
             )
         )

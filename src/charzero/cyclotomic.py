@@ -283,12 +283,11 @@ def root_of_unity(n: int, k: int) -> Cyclotomic:
 
 
 def cyc_to_json(v: Cyclotomic):
-    """JSON encoding: bare int for rational integers, else the full record,
-    each coefficient c written as the pair [c, 1]."""
-    coeffs = v.coeffs
-    if len(coeffs) == 1 or not any(coeffs[1:]):
-        return coeffs[0]
-    return {"conductor": v.conductor, "coeffs": [[c, 1] for c in coeffs]}
+    """JSON encoding: the int v.as_integer() for a rational value, else the
+    full record, each coefficient c written as the pair [c, 1]."""
+    if (q := v.as_integer()) is not None:
+        return q
+    return {"conductor": v.conductor, "coeffs": [[c, 1] for c in v.coeffs]}
 
 
 def cyc_from_json(obj) -> Cyclotomic:

@@ -229,6 +229,34 @@ class TestCyclicAbelian:
             assert table_to_json(t) == table_to_json(build_cyclic(factors[0] if factors else 1))
 
 
+class TestProductMetadata:
+    """A x B is solvable (nilpotent) iff A and B both are; a fact of a
+    factor may be true, false or unknown (None)."""
+
+    @pytest.mark.parametrize("heights", [(1, 3), (2, None), (None, 1), (None, None)])
+    @pytest.mark.parametrize("y", [True, False, None])
+    @pytest.mark.parametrize("x", [True, False, None])
+    @pytest.mark.parametrize("fact", ["solvable", "nilpotent"])
+    def test_fact_and_fitting_height(self, fact, x, y, heights):
+        a, b = (
+            build_cyclic(n)._replace(metadata=TableMetadata(**{fact: v}, fitting_height=h))
+            for n, v, h in zip((2, 3), (x, y), heights)
+        )
+        m = direct_product(a, b).metadata
+        # known false beats unknown: A x B is not solvable if A is not
+        expect = False if False in (x, y) else None if None in (x, y) else True
+        assert getattr(m, fact) is expect
+        other = "nilpotent" if fact == "solvable" else "solvable"
+        assert getattr(m, other) is None
+        known = m.solvable is True and None not in heights
+        assert m.fitting_height == (max(heights) if known else None)
+        assert (m.abelian_by_metanilpotent, m.r_value, m.simple, m.notes) == (None,) * 4
+
+    def test_nonsolvable_factor_beside_unknown(self):
+        p = direct_product(fixture_table("a5"), build_dihedral(5)._replace(metadata=TableMetadata()))
+        assert p.metadata.solvable is False and p.metadata.nilpotent is None
+
+
 @pytest.mark.parametrize(
     "call,text",
     [
@@ -734,10 +762,18 @@ class TestSerialization:
              "character 2 has a malformed value: unknown value reference '5a'"),
             (lambda doc: doc["characters"][2]["values"].__setitem__(1, True),
              "character 2 has a malformed value: booleans are not cyclotomic values"),
+            # a class's label is checked first, then name, size and element_order
+            (lambda doc: doc["classes"].__setitem__(1, {"label": "x"}),
+             "field 'label' in class 1 must be a list of integers"),
+            (lambda doc: doc["classes"][1].update(size=True),
+             "field 'size' in class 1 has wrong type"),
+            (lambda doc: doc["classes"][1].__delitem__("element_order"),
+             "missing field 'element_order' in class 1"),
         ],
         ids=["document-list", "class-int", "character-int", "metadata-list", "unknown-metadata",
              "zeta5-degree", "record-conductor", "unknown-reference",
-             "reference-before-record", "string-value", "bool-beside-references"],
+             "reference-before-record", "string-value", "bool-beside-references",
+             "label-before-name", "bool-size", "missing-element-order"],
     )
     def test_schema_error_texts(self, mutate, text):
         doc = table_to_json(fixture_table("a5"))
