@@ -136,7 +136,7 @@ def build_symmetric(n: int) -> CharacterTable:
     It has p(n) classes and p(n)**2 values, so time and memory grow with
     p(n)**2 (S_20 has 627 classes)."""
     # imported here so that loading and validating a table never compiles partitions
-    from .partitions import _column, _columns, partitions_of, z_order
+    from .partitions import class_column, partitions_of, z_order
 
     if n < 1:
         raise ValueError("build_symmetric requires n >= 1")
@@ -154,18 +154,15 @@ def build_symmetric(n: int) -> CharacterTable:
         )
         for mu in class_order
     )
-    # One Murnaghan-Nakayama column per class, transposed into rows; the
-    # labels are canonical partitions, so mn_value's checks are not needed.
+    # One Murnaghan-Nakayama column per class, transposed into rows; only the
+    # suffixes' columns stay cached, and the labels are canonical partitions,
+    # so mn_value's checks are not needed.
     vals = _Values()
-    rows = zip(*[_column(mu) for mu in class_order])
+    rows = zip(*map(class_column, class_order))
     characters = tuple(
         Character(name=f"chi{lam}", values=tuple(map(vals.__getitem__, row)))
         for lam, row in zip(parts, rows)
     )
-    # the columns of S_n's own classes hold the table's values a second time;
-    # only another build of S_n or an mn_value at n reads them again
-    for mu in class_order:
-        _columns.pop(mu, None)
     meta = TableMetadata(solvable=(n <= 4), simple=(n == 2))
     return CharacterTable(f"S{n}", nfact, classes, characters, meta)
 

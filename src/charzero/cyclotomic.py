@@ -14,7 +14,6 @@ made, with a ValueError that says it is not an algebraic integer.
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 from functools import lru_cache
@@ -26,6 +25,7 @@ __all__ = [
     "root_of_unity",
     "cyc_to_json",
     "cyc_from_json",
+    "is_prime_power",
 ]
 
 
@@ -42,6 +42,11 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         primes.append(n)
     return primes
+
+
+def is_prime_power(n: int) -> bool:
+    """n is p^k for a prime p and some k >= 1."""
+    return n > 1 and len(_prime_factors(n)) == 1
 
 
 @lru_cache(maxsize=None)
@@ -252,6 +257,8 @@ class Cyclotomic:
         return None if any(self.coeffs[1:]) else self.coeffs[0]
 
     def approx(self) -> complex:
+        import cmath  # only here, so that importing the CLI does not load it
+
         n = self.conductor
         return sum(
             (float(c) * cmath.exp(2j * cmath.pi * e / n) for e, c in self._sparse().items()),

@@ -9,11 +9,12 @@ character values from the column of the class with its first part removed.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, islice
 from operator import lt, sub
 
-__all__ = ["partitions_of", "remove_rim_hooks", "mn_value", "z_order"]
+__all__ = ["partitions_of", "remove_rim_hooks", "mn_value", "z_order", "class_column"]
 
 PartitionT = tuple[int, ...]
 
@@ -104,25 +105,30 @@ def _hooks(k: int, l: int) -> tuple[tuple[int, ...], ...]:
     return tuple(flat[0]), tuple(ends[0]), tuple(flat[1]), tuple(ends[1])
 
 
-# mu -> _column(mu), for every mu a column was asked for or built from; a
-# build_symmetric(n) drops the columns of its own classes, the partitions of n
+# mu -> _column(mu), for every mu a column was asked for or built from;
+# build_symmetric asks for class_column, so a build caches only the suffixes
 _columns: dict[PartitionT, tuple[int, ...]] = {(): (1,)}
 
 
-def _column(mu: PartitionT) -> tuple[int, ...]:
-    """chi^lam(mu) for every lam of |mu| in partitions_of order; mu canonical.
-    With E and O the prefix sums of the column of mu[1:] over the even- and
+def class_column(mu: PartitionT) -> tuple[int, ...]:
+    """chi^lam(mu) for every lam of |mu| in partitions_of order; mu canonical
+    and nonempty.  Built from the cached column of mu[1:] and not cached
+    itself.  With E and O the prefix sums of that column over the even- and
     odd-leg positions of _hooks, the i-th lam's value is net[i + 1] - net[i],
     where net[i] = E[even_ends[i]] - O[odd_ends[i]]."""
-    column = _columns.get(mu)
-    if column is not None:
-        return column
     col = _column(mu[1:]).__getitem__
     even, even_ends, odd, odd_ends = _hooks(sum(mu), mu[0])
     plus = list(accumulate(map(col, even), initial=0)).__getitem__
     minus = list(accumulate(map(col, odd), initial=0)).__getitem__
     net = list(map(sub, map(plus, even_ends), map(minus, odd_ends)))
-    column = _columns[mu] = tuple(map(sub, islice(net, 1, None), net))
+    return tuple(map(sub, islice(net, 1, None), net))
+
+
+def _column(mu: PartitionT) -> tuple[int, ...]:
+    """class_column(mu), cached in _columns."""
+    column = _columns.get(mu)
+    if column is None:
+        column = _columns[mu] = class_column(mu)
     return column
 
 
@@ -156,11 +162,4 @@ def mn_value(lam, mu) -> int:
 
 def z_order(mu) -> int:
     """Centralizer order of a permutation of cycle type mu: prod i^m_i * m_i!."""
-    mu = check_partition(mu)
-    mult: dict[int, int] = {}
-    for p in mu:
-        mult[p] = mult.get(p, 0) + 1
-    z = 1
-    for i, m in mult.items():
-        z *= i**m * math.factorial(m)
-    return z
+    return math.prod(i**m * math.factorial(m) for i, m in Counter(check_partition(mu)).items())

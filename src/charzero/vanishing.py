@@ -4,7 +4,8 @@ The ZeroPattern is the incidence of zeros (nonlinear characters x all
 classes) that everything downstream -- covers, graphs, Camina/central-type
 detection -- works from.  Each nonlinear character is one int row mask: bit
 c is set iff its exact value on class c is zero.  `cols` holds the
-transposed masks, bit r of column c set iff row r vanishes on class c.
+transposed masks, bit r of column c set iff row r vanishes on class c;
+`vanishing` and `noncentral` are the class masks the checks and graphs read.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from itertools import compress, count
 from operator import and_, attrgetter, or_
 
 from .chartable import CharacterTable
-from .cyclotomic import _prime_factors
+from .cyclotomic import is_prime_power
 
 __all__ = [
     "ZeroPattern",
@@ -60,7 +61,7 @@ class ZeroPattern(
     namedtuple("ZeroPattern", "table_ref nonlinear_idx class_sizes rows row_names col_names")
 ):
     """rows: one mask per nonlinear character, bit c = zero at class c.  No
-    __slots__: the cached `cols` lives in the instance __dict__."""
+    __slots__: the cached masks live in the instance __dict__."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"ZeroPattern is immutable; cannot set {name!r}")
@@ -77,6 +78,16 @@ class ZeroPattern(
     def cols(self) -> tuple[int, ...]:
         """One mask per class: bit r is set iff row r vanishes there."""
         return transpose(self.rows, self.n_cols)
+
+    @cached_property
+    def vanishing(self) -> int:
+        """Bit c is set iff some row vanishes on class c."""
+        return reduce(or_, self.rows, 0)
+
+    @cached_property
+    def noncentral(self) -> int:
+        """Bit c is set iff class c has more than one element."""
+        return sum(1 << c for c, size in enumerate(self.class_sizes) if size > 1)
 
 
 def zero_pattern(t: CharacterTable) -> ZeroPattern:
@@ -100,13 +111,12 @@ def zero_pattern(t: CharacterTable) -> ZeroPattern:
 
 def vanishing_classes(p: ZeroPattern) -> set[int]:
     """Classes on which at least one nonlinear character vanishes."""
-    return set(bits(reduce(or_, p.rows, 0)))
+    return set(bits(p.vanishing))
 
 
 def nonvanishing_classes(p: ZeroPattern) -> set[int]:
     """Non-central classes (size > 1) on which no nonlinear character vanishes."""
-    noncentral = sum(1 << c for c, size in enumerate(p.class_sizes) if size > 1)
-    return set(bits(noncentral & ~reduce(or_, p.rows, 0)))
+    return set(bits(p.noncentral & ~p.vanishing))
 
 
 def burnside_check(p: ZeroPattern) -> tuple[bool, list[int]]:
@@ -114,10 +124,6 @@ def burnside_check(p: ZeroPattern) -> tuple[bool, list[int]]:
     (ok, character indices of violating rows)."""
     violations = [p.nonlinear_idx[r] for r, row in enumerate(p.rows) if not row]
     return (not violations, violations)
-
-
-def is_prime_power(n: int) -> bool:
-    return n > 1 and len(_prime_factors(n)) == 1
 
 
 def prime_power_check(t: CharacterTable, p: ZeroPattern) -> tuple[bool, list[int]]:
@@ -147,8 +153,7 @@ def camina_classes(t: CharacterTable, p: ZeroPattern) -> set[int]:
 
 def central_type_characters(t: CharacterTable, p: ZeroPattern) -> set[int]:
     """Nonlinear characters vanishing on every non-central class."""
-    noncentral = sum(1 << c for c, size in enumerate(p.class_sizes) if size > 1)
-    return {p.nonlinear_idx[r] for r, row in enumerate(p.rows) if row & noncentral == noncentral}
+    return {p.nonlinear_idx[r] for r, row in enumerate(p.rows) if row & p.noncentral == p.noncentral}
 
 
 def pattern_to_json(p: ZeroPattern) -> dict:

@@ -75,7 +75,7 @@ def gamma_v(p: ZeroPattern) -> SimpleGraph:
 
 def delta_v(p: ZeroPattern) -> SimpleGraph:
     """Vertices: vanishing classes; edge iff some character vanishes on both."""
-    cols = [c for c, col in enumerate(p.cols) if col]
+    cols = bits(p.vanishing)
     masks = [p.cols[c] for c in cols]
     return _common_zero_graph([p.col_names[c] for c in cols], masks, transpose(masks, p.n_rows))
 
@@ -83,7 +83,7 @@ def delta_v(p: ZeroPattern) -> SimpleGraph:
 def theta(t: CharacterTable, p: ZeroPattern) -> BipartiteGraph:
     """Bipartite graph: nonlinear characters vs non-central classes, edges at
     zeros.  Isolated right vertices (non-vanishing classes) are kept."""
-    right_cols = [c for c in range(p.n_cols) if p.class_sizes[c] > 1]
+    right_cols = bits(p.noncentral)
     # itemgetter of one index gives a 1-character string, which map reads alike; of none, raises
     pick = itemgetter(*right_cols) if right_cols else lambda digits: ()
     return BipartiteGraph(

@@ -4,6 +4,8 @@ a table whose equal values (zeros included) are distinct objects.  Also: the
 search functions leave no reference cycles behind."""
 
 import gc
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,7 @@ from charzero.chartable import build_abelian, build_cyclic, build_symmetric, loa
 from charzero.cyclotomic import Cyclotomic
 from charzero.hcover import min_cover
 from charzero.partitions import partitions_of
-from charzero.vanishing import ZeroPattern, pattern_to_json, zero_pattern
+from charzero.vanishing import ZeroPattern, bits, pattern_to_json, zero_pattern
 from charzero.zerographs import delta_v, gamma_v, independence_number, theta
 
 from conftest import FIXTURE_DIR
@@ -90,22 +92,38 @@ def test_tables_without_nonlinear_rows(make):
     assert theta(t, p).edges == ()
 
 
-@pytest.mark.parametrize(
-    "class_sizes, rows",
-    [
-        ((1,), ()),
-        ((1,), (0, 0)),
-        ((1, 1, 1), (0b110, 0b010, 0)),
-        ((1, 3), (0b10, 0b10, 0)),
-        ((1, 3), (0, 0)),
-        ((1, 1, 3), (0b100, 0b001)),
-        ((5, 1), (0b01,)),
-    ],
-)
+HAND_CASES = [
+    ((1,), ()),
+    ((1,), (0, 0)),
+    ((1, 1, 1), (0b110, 0b010, 0)),
+    ((1, 3), (0b10, 0b10, 0)),
+    ((1, 3), (0, 0)),
+    ((1, 1, 3), (0b100, 0b001)),
+    ((5, 1), (0b01,)),
+]
+
+
+@pytest.mark.parametrize("class_sizes, rows", HAND_CASES)
 def test_hand_patterns_with_no_or_one_noncentral_class(class_sizes, rows):
     p = hand_pattern(class_sizes, rows)
     assert_kernels_match(p)
     assert len(theta(None, p).right) == sum(size > 1 for size in class_sizes)
+
+
+def assert_class_masks(p):
+    assert p.vanishing == reduce(or_, p.rows, 0)
+    assert p.noncentral == sum(1 << c for c, size in enumerate(p.class_sizes) if size > 1)
+    assert delta_v(p).vertices == tuple(p.col_names[c] for c in bits(p.vanishing))
+
+
+@pytest.mark.parametrize("class_sizes, rows", HAND_CASES)
+def test_class_masks_of_hand_patterns(class_sizes, rows):
+    assert_class_masks(hand_pattern(class_sizes, rows))
+
+
+def test_class_masks_of_the_corpus(corpus):
+    for t in corpus:
+        assert_class_masks(zero_pattern(t))
 
 
 @settings(max_examples=200, deadline=None)

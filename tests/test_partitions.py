@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from charzero import partitions
 from charzero.chartable import (
     build_abelian,
     build_cyclic,
@@ -19,7 +20,13 @@ from charzero.chartable import (
     load_table,
     save_table,
 )
-from charzero.partitions import mn_value, partitions_of, remove_rim_hooks, z_order
+from charzero.partitions import (
+    class_column,
+    mn_value,
+    partitions_of,
+    remove_rim_hooks,
+    z_order,
+)
 
 
 ABELIAN_FACTOR_LISTS = [[], [2], [3], [4], [12], [2, 2], [2, 4], [2, 4, 6], [3, 3, 3], [5, 7]]
@@ -351,6 +358,19 @@ class TestBuildSymmetricOracle:
         assert digest.hexdigest() == (
             "e777ecba407381a8ca04f40d4a03562fbb688cf76bc59120d8cd30daa5aeb783"
         )
+
+
+class TestClassColumn:
+    @pytest.mark.parametrize("n", [9, 13])
+    def test_build_caches_suffix_columns_only(self, n, monkeypatch):
+        monkeypatch.setattr(partitions, "_columns", {(): (1,)})
+        build_symmetric(n)
+        assert partitions._columns.keys().isdisjoint(partitions_of(n))
+        assert {mu[1:] for mu in partitions_of(n)} <= partitions._columns.keys()
+
+    def test_class_column_is_the_cached_column(self):
+        for mu in partitions_of(10):
+            assert class_column(mu) == partitions._column(mu)
 
 
 class TestZOrder:

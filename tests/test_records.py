@@ -1,6 +1,8 @@
-"""The records are immutable named tuples, importing the CLI stays light, and
-the package namespace imports each submodule only when one of its names is used."""
+"""The records are immutable named tuples, importing the CLI stays light, the
+package namespace imports each submodule only when one of its names is used,
+and no module imports another module's underscore names."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -20,7 +22,7 @@ SRC = ROOT / "src"
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():
-    heavy = "{'dataclasses', 'inspect', 'typing', 'fractions', 'decimal', 'numbers'}"
+    heavy = "{'dataclasses', 'inspect', 'typing', 'fractions', 'decimal', 'numbers', 'cmath'}"
     code = f"import sys, charzero.cli; print(sorted({heavy} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run(
@@ -79,6 +81,25 @@ def test_star_import_binds_every_export():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="module 'charzero' has no attribute 'no_such_name'"):
         charzero.no_such_name  # noqa: B018
+
+
+def private_imports(path: Path) -> list[tuple[str, str]]:
+    """(module, name) for each underscore name the module at path imports
+    from another charzero module, relatively or by its full name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        (node.module or ".", alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "charzero")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "charzero").glob("*.py")), ids=lambda p: p.stem)
+def test_no_module_imports_another_modules_private_name(path):
+    assert private_imports(path) == []
 
 
 def records():
