@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import marshal
 import math
 import operator
 from collections import Counter, namedtuple
@@ -18,10 +17,12 @@ from pathlib import Path
 
 from .cyclotomic import (
     Cyclotomic,
+    check_int,
     cyc_from_json,
     cyc_to_json,
     cyclotomic_polynomial,
     euler_phi,
+    record_hook,
     root_of_unity,
 )
 
@@ -104,13 +105,6 @@ class CharacterTable(
 # constructors
 
 
-def _check_int(x, what: str) -> int:
-    # bool is an int subclass, and build_cyclic(True) would make a group "CTrue"
-    if type(x) is not int:
-        raise ValueError(f"{what} must be an int: {x!r}")
-    return x
-
-
 class _Values(dict):
     """The values of one table: one shared Cyclotomic per distinct value, so
     per-value work can be done once per object.  An int key gives the
@@ -123,8 +117,7 @@ class _Values(dict):
     def __missing__(self, k: int) -> Cyclotomic:
         if type(k) is not int:
             raise ValueError(f"unknown value reference {k!r}")
-        v = self[k] = Cyclotomic.from_rational(k)
-        return v
+        return self.setdefault(k, Cyclotomic.from_rational(k))
 
     def intern(self, v: Cyclotomic) -> Cyclotomic:
         q = v.as_integer()
@@ -170,7 +163,7 @@ def build_symmetric(n: int) -> CharacterTable:
 def build_dihedral(m: int) -> CharacterTable:
     """Character table of the dihedral group D_{2m} = <x, s> of order 2m,
     m >= 3, evaluated at one representative x^j or s*x^k per class."""
-    if _check_int(m, "m") < 3:
+    if check_int(m, "m") < 3:
         raise ValueError("build_dihedral requires m >= 3")
     order = 2 * m
     even = m % 2 == 0
@@ -215,7 +208,7 @@ def build_dihedral(m: int) -> CharacterTable:
 
 def build_cyclic(n: int) -> CharacterTable:
     """Cyclic group C_n; all characters linear with root-of-unity values."""
-    if _check_int(n, "n") < 1:
+    if check_int(n, "n") < 1:
         raise ValueError("build_cyclic requires n >= 1")
     classes = tuple(ConjClass(f"x^{k}" if k else "e", 1, n // math.gcd(n, k)) for k in range(n))
     vals = _Values()
@@ -235,7 +228,7 @@ def build_cyclic(n: int) -> CharacterTable:
 
 def build_abelian(invariant_factors: list[int]) -> CharacterTable:
     """Abelian group as a direct product of cyclic groups."""
-    factors = [_check_int(f, "invariant factor") for f in invariant_factors]
+    factors = [check_int(f, "invariant factor") for f in invariant_factors]
     if any(f < 2 for f in factors):
         raise ValueError("invariant factors must be >= 2")
     product = functools.reduce(direct_product, map(build_cyclic, factors or [1]))
@@ -513,22 +506,6 @@ def _require(obj: dict, key: str, kinds, where: str):
     return val
 
 
-def _record_hook():
-    """A json object_hook: every object whose keys are exactly "conductor"
-    then "coeffs" becomes the first such dict with the same marshal bytes, so
-    one copy of a repeated record stays alive and table_from_json decodes it
-    once.  marshal writes each JSON type distinctly, so equal bytes mean
-    equal values of equal types: true, 1.0 and 1 never share a record."""
-    records: dict[bytes, dict] = {}
-
-    def hook(obj: dict):
-        if len(obj) != 2 or list(obj) != ["conductor", "coeffs"]:
-            return obj
-        return records.setdefault(marshal.dumps(obj), obj)
-
-    return hook
-
-
 def table_from_json(data: dict) -> CharacterTable:
     """The table of a decoded JSON document, after every schema check; a
     class's label is checked before its _CLASS_FIELDS, in their order.  A row
@@ -659,11 +636,11 @@ def load_table(path) -> CharacterTable:
     A file that save_table wrote holds each distinct irrational value's
     record once, so the parser meets each record once.  In a file written
     before references existed, with a record at every irrational entry, the
-    parser hands each record to _record_hook as it closes it, so the entries
-    of one record share the dict of its first occurrence, and one copy of
-    its pair lists is alive per distinct record."""
+    parser hands each record to cyclotomic's record_hook as it closes it, so
+    the entries of one record share the dict of its first occurrence, and
+    one copy of its pair lists is alive per distinct record."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"), object_hook=_record_hook())
+        data = json.loads(Path(path).read_text(encoding="utf-8"), object_hook=record_hook())
     except (ValueError, RecursionError) as exc:
         raise SchemaError(f"malformed JSON: {exc}") from exc
     return table_from_json(data)

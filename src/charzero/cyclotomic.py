@@ -14,6 +14,7 @@ made, with a ValueError that says it is not an algebraic integer.
 
 from __future__ import annotations
 
+import marshal
 import math
 import operator
 from functools import lru_cache
@@ -25,8 +26,18 @@ __all__ = [
     "root_of_unity",
     "cyc_to_json",
     "cyc_from_json",
+    "record_hook",
     "is_prime_power",
+    "check_int",
 ]
+
+
+def check_int(x, what: str) -> int:
+    """x, which must be an int; the one integer-argument check of the package.
+    bool is an int subclass, and True would pass as 1, so it is refused."""
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an int: {x!r}")
+    return x
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -124,7 +135,7 @@ class Cyclotomic:
     __slots__ = ("conductor", "coeffs")
 
     def __init__(self, conductor: int, coeffs):
-        if conductor < 1:
+        if check_int(conductor, "conductor") < 1:
             raise ValueError("conductor must be >= 1")
         vec = tuple(map(_coef, coeffs))
         # phi(n) >= sqrt(n/2) for every n >= 1, so a larger conductor cannot
@@ -284,9 +295,9 @@ class Cyclotomic:
 
 def root_of_unity(n: int, k: int) -> Cyclotomic:
     """zeta_n^k in canonical reduced form at conductor n."""
-    if n < 1:
+    if check_int(n, "n") < 1:
         raise ValueError("n must be >= 1")
-    return Cyclotomic._make(n, _reduce(n, [0] * (k % n) + [1]))
+    return Cyclotomic._make(n, _reduce(n, [0] * (check_int(k, "k") % n) + [1]))
 
 
 def cyc_to_json(v: Cyclotomic):
@@ -312,6 +323,23 @@ def cyc_from_json(obj) -> Cyclotomic:
             raise ValueError(f"conductor must be an integer, got {n!r}")
         return Cyclotomic(n, [_quotient(num, den) for num, den in obj["coeffs"]])
     raise ValueError(f"cannot decode cyclotomic value from {obj!r}")
+
+
+def record_hook():
+    """A json object_hook: every object whose keys are exactly "conductor"
+    then "coeffs", as cyc_to_json writes a record, becomes the first such dict
+    with the same marshal bytes, so one copy of a repeated record stays alive
+    and a decoder that memoizes on the dict decodes it once.  marshal writes
+    each JSON type distinctly, so equal bytes mean equal values of equal
+    types: true, 1.0 and 1 never share a record."""
+    records: dict[bytes, dict] = {}
+
+    def hook(obj: dict):
+        if len(obj) != 2 or list(obj) != ["conductor", "coeffs"]:
+            return obj
+        return records.setdefault(marshal.dumps(obj), obj)
+
+    return hook
 
 
 def _quotient(num, den) -> int:

@@ -14,23 +14,18 @@ from functools import lru_cache
 from itertools import accumulate, islice
 from operator import lt, sub
 
+from .cyclotomic import check_int
+
 __all__ = ["partitions_of", "remove_rim_hooks", "mn_value", "z_order", "class_column"]
 
 PartitionT = tuple[int, ...]
-
-
-def _check_int(x, what: str) -> int:
-    # bool is an int subclass, and True would pass as a part of size 1
-    if type(x) is not int:
-        raise ValueError(f"{what} must be an int: {x!r}")
-    return x
 
 
 def _parts(parts) -> PartitionT:
     """parts as a tuple, in the given order, each an int >= 1."""
     parts = tuple(parts)
     if {*map(type, parts)} - {int}:
-        _check_int(next(p for p in parts if type(p) is not int), "part")
+        check_int(next(p for p in parts if type(p) is not int), "part")
     if parts and min(parts) < 1:
         raise ValueError(f"parts must be positive: {parts}")
     return parts
@@ -45,7 +40,7 @@ def check_partition(lam) -> PartitionT:
 
 def partitions_of(n: int) -> list[PartitionT]:
     """All partitions of n in reverse-lexicographic order: (n) first, (1^n) last."""
-    if _check_int(n, "n") < 0:
+    if check_int(n, "n") < 0:
         raise ValueError("n must be nonnegative")
     out: list[PartitionT] = [()] if n == 0 else []
     lam = [n] if n else []
@@ -135,7 +130,7 @@ def _column(mu: PartitionT) -> tuple[int, ...]:
 def remove_rim_hooks(lam, l: int) -> list[tuple[PartitionT, int]]:
     """All removals of a size-l rim hook from lam, as (resulting partition,
     leg length) pairs; empty if no such strip exists."""
-    if _check_int(l, "strip size") < 1:
+    if check_int(l, "strip size") < 1:
         raise ValueError("strip size must be >= 1")
     out = []
     for new, leg in _strips(_beta(check_partition(lam)), l):

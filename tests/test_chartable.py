@@ -708,6 +708,23 @@ class TestSerialization:
         assert_same_text(saved_text(copy), reference_save_text(copy))
         assert_same_text(saved_text(copy), saved_text(t))
 
+    def test_inline_records_with_coeffs_first_load(self, tmp_path):
+        # a record at every irrational entry, each written "coeffs" first: the
+        # loader shares none of them and decodes each one where it stands
+        t = build_dihedral(5)
+
+        def entry(v):
+            obj = cyc_to_json(v)
+            return obj if isinstance(obj, int) else {"coeffs": obj["coeffs"], "conductor": obj["conductor"]}
+
+        rows = [{"name": ch.name, "values": list(map(entry, ch.values))} for ch in t.characters]
+        path = tmp_path / "d10.json"
+        path.write_text(json.dumps({**table_to_json(t), "characters": rows}), encoding="utf-8")
+        assert path.read_text(encoding="utf-8").count('{"coeffs"') == 4
+        loaded = load_table(path)
+        assert loaded == build_dihedral(5)
+        assert_one_object_per_value(loaded)
+
     def test_round_trip(self, tmp_path):
         t = build_dihedral(8)
         path = tmp_path / "d16.json"

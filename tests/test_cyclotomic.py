@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from charzero.cyclotomic import (
     cyc_to_json,
     cyclotomic_polynomial,
     euler_phi,
+    record_hook,
     root_of_unity,
 )
 
@@ -406,6 +408,43 @@ class TestJson:
             cyc_from_json("nope")
 
 
+class TestRecordHook:
+    RECORD = {"conductor": 5, "coeffs": [[0, 1], [1, 1], [0, 1], [1, 1]]}
+
+    def test_equal_record_gets_the_first_dict(self):
+        hook = record_hook()
+        first, second = json.loads(json.dumps([self.RECORD] * 2))
+        assert second is not first
+        assert hook(first) is first
+        assert hook(second) is first
+
+    def test_equal_values_of_another_type_are_not_shared(self):
+        hook = record_hook()
+        first = json.loads(json.dumps(self.RECORD))
+        assert hook(first) is first
+        for c in (False, 0.0):
+            other = json.loads(json.dumps(self.RECORD))
+            other["coeffs"][0][0] = c
+            assert hook(other) is other
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"coeffs": [[0, 1], [1, 1], [0, 1], [1, 1]], "conductor": 5},
+            {"name": "5a", "size": 12, "element_order": 5},
+            {"name": "chi3a", "values": [3, -1, 0]},
+            {"solvable": False, "simple": True},
+        ],
+        ids=["coeffs-before-conductor", "class", "character", "metadata"],
+    )
+    def test_other_objects_are_returned_unchanged(self, obj):
+        hook = record_hook()
+        first, second = json.loads(json.dumps([obj] * 2))
+        assert hook(first) is first
+        assert hook(second) is second
+        assert second == obj
+
+
 class TestInvariants:
     def test_coeff_length_checked(self):
         with pytest.raises(ValueError):
@@ -424,6 +463,28 @@ class TestInvariants:
         ids=["euler-phi-0", "phi-0", "conductor-0", "root-0", "embed-4-of-3", "power-minus-1"],
     )
     def test_value_error_texts(self, call, text):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == text
+
+    @pytest.mark.parametrize(
+        "call,text",
+        [
+            (lambda: Cyclotomic(2.0, [5]), "conductor must be an int: 2.0"),
+            (lambda: Cyclotomic(4.0, [1, 2]), "conductor must be an int: 4.0"),
+            (lambda: Cyclotomic(True, [5]), "conductor must be an int: True"),
+            (lambda: Cyclotomic("5", [1, 2, 3, 4]), "conductor must be an int: '5'"),
+            (lambda: root_of_unity(True, 0), "n must be an int: True"),
+            (lambda: root_of_unity(3.0, 1), "n must be an int: 3.0"),
+            (lambda: root_of_unity(4, 1.5), "k must be an int: 1.5"),
+        ],
+        ids=[
+            "conductor-2.0", "conductor-4.0", "conductor-true", "conductor-string",
+            "root-n-true", "root-n-3.0", "root-k-1.5",
+        ],
+    )
+    def test_non_int_argument_is_refused(self, call, text):
+        # refused where the value is made, not at its first product
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == text
