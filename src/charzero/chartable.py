@@ -319,28 +319,17 @@ def _row_orthogonality(t: CharacterTable) -> list[str]:
             if id(v) in faults
         ]
     n, x, modulus = _gram_modulus(t, distinct.values())
-    conj = {i: v if v.as_integer() is not None else v.conj() for i, v in distinct.items()}
-    # zeta_n^e = zeta_N^(e*N/n) -> x^(e*N/n), below x^N as e < phi(n).  A rational
-    # value, whose n need not divide N, has only e = 0 and is its own conjugate.
-    # Of the N powers of x, only those some value or conjugate reads are kept.
-    reads = {
-        e * (n // v.conductor)
-        for v in (*distinct.values(), *conj.values())
-        for e, q in enumerate(v.coeffs)
-        if q
-    }
-    powers, p = {0: 1}, 1
-    for e in range(1, n):
-        p = p * x % modulus
-        if e in reads:
-            powers[e] = p
+    s = x.bit_length() - 1
 
     def image(v: Cyclotomic) -> int:
-        step = n // v.conductor
-        return sum(q * powers[e * step] for e, q in enumerate(v.coeffs) if q)
+        # the power-basis vector of v at N, read at zeta_N = x
+        return sum(c << s * e for e, c in enumerate(v.embed(n).coeffs) if c)
 
-    plus = {i: image(v) for i, v in distinct.items()}
-    minus = {i: image(v) for i, v in conj.items()}
+    # a rational value, whose conductor need not divide N, is its own image and conjugate
+    plus, minus = {}, {}
+    for i, v in distinct.items():
+        q = v.as_integer()
+        plus[i], minus[i] = (q, q) if q is not None else (image(v), image(v.conj()))
     sizes = [c.size for c in t.classes]
     weighted = [[size * plus[id(v)] for size, v in zip(sizes, ch.values)] for ch in t.characters]
     conjugate = [[minus[id(v)] for v in ch.values] for ch in t.characters]
@@ -359,9 +348,9 @@ def validate(t: CharacterTable) -> list[str]:
 
     Row orthogonality, sum_c |c| chi_r1(c) conj(chi_r2(c)) = |G| delta, is
     checked once in Z/M, with N, x = 2^s and M = Phi_N(x) from _gram_modulus:
-    - zeta_N -> x is a ring map Z[zeta_N] -> Z/M, as Phi_N(x) = M.  It sends
-      zeta_n^e, e < phi(n), to x^(e*N/n), so every exponent it reads is below
-      N.  A complex conjugate is a value too, v.conj(), mapped the same way.
+    - zeta_N -> x is a ring map Z[zeta_N] -> Z/M, as Phi_N(x) = M.  A value
+      maps to its coefficient vector at N, v.embed(N), read at x; a complex
+      conjugate is a value too, v.conj(), mapped the same way.
     - Let a be a Gram entry minus |G| delta; each conjugate of a is at most B
       in absolute value.  If a != 0 maps to 0, M divides the nonzero integer
       N(a), yet |N(a)| <= B^phi(N) < (x-1)^phi(N) <= M.  So a = 0.

@@ -178,7 +178,10 @@ def independence_number(
 
 def bound_flags(m, alpha: int, ncomp: int) -> list[str]:
     """The Gamma_v flag ids a table with metadata m raises, in a fixed
-    order, given alpha(Gamma_v) and the number of components of Gamma_v."""
+    order, given alpha(Gamma_v) and the number of components of Gamma_v.
+    Metadata with fitting_height < 1 raises only metadata-invalid:fitting_height."""
+    if m.fitting_height is not None and m.fitting_height < 1:
+        return ["metadata-invalid:fitting_height"]
     flags = (
         ("fitting-height-bound-violated-bad-data",
          m.fitting_height is not None and alpha > m.fitting_height),
@@ -196,13 +199,8 @@ def bound_checks(t: CharacterTable, p: ZeroPattern) -> list[str]:
     """The bound_flags ids a table raises: solvable bounds, the
     abelian-by-metanilpotent bound, the fitting-height bound, and the
     at-most-three-components conjecture.  Empty list = nothing flagged."""
-    m = t.metadata
-    if m.fitting_height is not None and m.fitting_height < 1:
-        return ["metadata-invalid:fitting_height"]
     g = gamma_v(p)
-    alpha, _ = independence_number(g)
-    ncomp = len(components(g))
-    return bound_flags(m, alpha, ncomp)
+    return bound_flags(t.metadata, independence_number(g)[0], len(components(g)))
 
 
 def _quote(name: str) -> str:

@@ -10,7 +10,7 @@ import pytest
 
 from charzero import analysis, hcover, vanishing, zerographs
 from charzero.analysis import ALL_CHECKS, TableAnalysis
-from charzero.chartable import build_symmetric, load_table
+from charzero.chartable import TableMetadata, build_dihedral, build_symmetric, load_table
 from charzero.cyclotomic import Cyclotomic
 
 from test_golden import GOLDEN_DIR, write_corpus
@@ -112,6 +112,24 @@ def test_flags_of_a_table_validate_refuses():
         "hmm-components:Gamma_v has 1, Delta_v has 0",
         "covers:a nonlinear character of S3 never vanishes",
     ]
+
+
+@pytest.mark.parametrize("height", [0, -3])
+def test_invalid_fitting_height_is_one_bounds_flag(height):
+    # validate refuses this D8; analysed without it, both paths give one flag
+    t = build_dihedral(4)
+    bad = t._replace(metadata=TableMetadata(solvable=True, fitting_height=height))
+    assert TableAnalysis(bad).flags(("bounds",)) == ["bounds:metadata-invalid:fitting_height"]
+    assert zerographs.bound_checks(bad, vanishing.zero_pattern(bad)) == [
+        "metadata-invalid:fitting_height"
+    ]
+
+
+def test_bounds_flags_are_bound_checks(corpus):
+    for t in corpus:
+        flags = TableAnalysis(t).flags(("bounds",))
+        checks = zerographs.bound_checks(t, vanishing.zero_pattern(t))
+        assert flags == [f"bounds:{name}" for name in checks], t.group_name
 
 
 def test_no_cover_is_not_a_witness_flag():

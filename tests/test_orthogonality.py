@@ -138,9 +138,10 @@ def test_adding_phi_n_of_a_power_of_two_is_flagged(name):
         assert any(f.startswith("row orthogonality fails") for f in fails), s
 
 
-def test_huge_modulus_keeps_only_the_powers_it_reads():
-    # M11 plus Phi_88(2^64) has M of about 205 000 bits (25 KB a power of x
-    # mod M); the Gram check reads 8 of the 88 powers, so only those are kept
+def test_huge_modulus_validates_in_small_memory():
+    # M11 plus Phi_88(2^64) has M of about 205 000 bits (25 KB); each distinct
+    # value and its conjugate map to one integer of at most that size, so the
+    # Gram check holds a few dozen of them and no table of powers of x
     t = fixture("m11")
     poly = cyclotomic_polynomial(conductor_lcm(t))
     k = sum(coef << (64 * i) for i, coef in enumerate(poly))
