@@ -30,6 +30,8 @@ __all__ = [
     "ConjClass",
     "Character",
     "TableMetadata",
+    "metadata_faults",
+    "metadata_invalid",
     "CharacterTable",
     "SchemaError",
     "build_symmetric",
@@ -76,6 +78,30 @@ _META_FIELDS = {
     "notes": str,
 }
 TableMetadata = namedtuple("TableMetadata", _META_FIELDS, defaults=(None,) * len(_META_FIELDS))
+
+
+def metadata_faults(m: TableMetadata) -> list[tuple[str, str]]:
+    """(field, text) for each metadata rule m breaks, in a fixed order: the
+    one statement of the rules, which validate reports and which gate the
+    covers and bounds flags.  A nilpotent group has Fitting height 1; h(G),
+    r(G) and abelian-by-metanilpotent are facts of solvable groups only; h(G)
+    and r(G) are positive."""
+    faults = []
+    if m.nilpotent and m.fitting_height not in (None, 1):
+        faults.append(("fitting_height", "nilpotent table must have fitting_height 1"))
+    for name in ("fitting_height", "r_value", "abelian_by_metanilpotent"):
+        if m.solvable is False and getattr(m, name) is not None:
+            faults.append((name, f"non-solvable table must not carry {name}"))
+    for name in ("fitting_height", "r_value"):
+        if (value := getattr(m, name)) is not None and value < 1:
+            faults.append((name, f"{name} must be a positive integer"))
+    return faults
+
+
+def metadata_invalid(m: TableMetadata) -> list[str]:
+    """metadata-invalid:<field> once for each field metadata_faults names,
+    in its order; empty when validate accepts m."""
+    return [f"metadata-invalid:{name}" for name in dict.fromkeys(f for f, _ in metadata_faults(m))]
 
 
 class CharacterTable(
@@ -365,7 +391,9 @@ def validate(t: CharacterTable) -> list[str]:
       a failure before Phi_N is built.  Rational values are exempt at any
       conductor.
     - Column orthogonality adds nothing on a square table:
-      X C X^H = |G| I gives X^H X = |G| C^-1."""
+      X C X^H = |G| I gives X^H X = |G| C^-1.
+    The metadata rules are metadata_faults'; their texts follow the degree
+    checks, before any Gram failure."""
     fails: list[str] = []
     nc = len(t.classes)
 
@@ -415,17 +443,7 @@ def validate(t: CharacterTable) -> list[str]:
         if n_linear == 0 or t.order % n_linear != 0:
             fails.append(f"number of linear characters {n_linear} does not divide order")
 
-    m = t.metadata
-    if m.nilpotent and m.fitting_height is not None and m.fitting_height != 1:
-        fails.append("nilpotent table must have fitting_height 1")
-    if m.solvable is False:
-        for name in ("fitting_height", "r_value", "abelian_by_metanilpotent"):
-            if getattr(m, name) is not None:
-                fails.append(f"non-solvable table must not carry {name}")
-    if m.fitting_height is not None and m.fitting_height < 1:
-        fails.append("fitting_height must be a positive integer")
-    if m.r_value is not None and m.r_value < 1:
-        fails.append("r_value must be a positive integer")
+    fails += [text for _, text in metadata_faults(t.metadata)]
 
     if claims_hold and all(len(ch.values) == nc for ch in t.characters):
         fails += _row_orthogonality(t)

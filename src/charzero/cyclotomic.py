@@ -176,7 +176,10 @@ class Cyclotomic:
         return {e: c for e, c in enumerate(self.coeffs) if c}
 
     def embed(self, target: int) -> "Cyclotomic":
-        """Re-express at conductor `target` via zeta_N = zeta_target^(target/N)."""
+        """Re-express at conductor `target`, an int >= 1 and a multiple of N,
+        via zeta_N = zeta_target^(target/N)."""
+        if check_int(target, "target") < 1:
+            raise ValueError("target conductor must be >= 1")
         n = self.conductor
         if target == n:
             return self
@@ -241,7 +244,7 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if k < 0:
+        if check_int(k, "exponent") < 0:
             raise ValueError("negative powers not supported")
         result = Cyclotomic.one()
         base = self

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from .chartable import metadata_invalid
 from .vanishing import ZeroPattern, bits
 
 __all__ = ["CoverResult", "NoCoverError", "min_cover", "check_cover", "cover_flags"]
@@ -89,12 +90,12 @@ def check_cover(p: ZeroPattern, cover) -> tuple[bool, list[int]]:
 
 def cover_flags(m, k_min: int) -> list[str]:
     """The verify texts of the k_min flags a table with metadata m raises,
-    in a fixed order."""
-    k = k_min
+    in a fixed order.  Metadata that validate refuses raises only
+    chartable.metadata_invalid(m)."""
     flags = (
-        (f"k_min={k}>3 (conjecture 1a counterexample)", k > 3),
-        (f"solvable with k_min={k}>2 (conjecture 1b)", m.solvable and k > 2),
-        (f"k_min={k} exceeds r(G)={m.r_value}", m.r_value is not None and k > m.r_value),
-        (f"simple group with k_min={k}>3", m.simple and k > 3),
+        (f"k_min={k_min}>3 (conjecture 1a counterexample)", k_min > 3),
+        (f"solvable with k_min={k_min}>2 (conjecture 1b)", m.solvable and k_min > 2),
+        (f"k_min={k_min} exceeds r(G)={m.r_value}", m.r_value is not None and k_min > m.r_value),
+        (f"simple group with k_min={k_min}>3", m.simple and k_min > 3),
     )
-    return [text for text, holds in flags if holds]
+    return metadata_invalid(m) or [text for text, holds in flags if holds]

@@ -28,7 +28,6 @@ __all__ = [
     "prime_power_check",
     "camina_classes",
     "central_type_characters",
-    "is_prime_power",
     "pattern_to_json",
 ]
 

@@ -10,7 +10,7 @@ from collections import namedtuple
 from functools import reduce
 from operator import itemgetter, or_
 
-from .chartable import CharacterTable
+from .chartable import CharacterTable, metadata_invalid
 from .vanishing import ZeroPattern, bits, transpose
 
 __all__ = [
@@ -179,9 +179,7 @@ def independence_number(
 def bound_flags(m, alpha: int, ncomp: int) -> list[str]:
     """The Gamma_v flag ids a table with metadata m raises, in a fixed
     order, given alpha(Gamma_v) and the number of components of Gamma_v.
-    Metadata with fitting_height < 1 raises only metadata-invalid:fitting_height."""
-    if m.fitting_height is not None and m.fitting_height < 1:
-        return ["metadata-invalid:fitting_height"]
+    Metadata that validate refuses raises only chartable.metadata_invalid(m)."""
     flags = (
         ("fitting-height-bound-violated-bad-data",
          m.fitting_height is not None and alpha > m.fitting_height),
@@ -192,7 +190,7 @@ def bound_flags(m, alpha: int, ncomp: int) -> list[str]:
         ("components-conjecture-counterexample", ncomp > 3),
         ("solvable-components-bound-violated", m.solvable and ncomp > 2),
     )
-    return [name for name, holds in flags if holds]
+    return metadata_invalid(m) or [name for name, holds in flags if holds]
 
 
 def bound_checks(t: CharacterTable, p: ZeroPattern) -> list[str]:

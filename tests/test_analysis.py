@@ -5,12 +5,20 @@ clean."""
 
 import csv
 import inspect
+import itertools
 
 import pytest
 
 from charzero import analysis, hcover, vanishing, zerographs
 from charzero.analysis import ALL_CHECKS, TableAnalysis
-from charzero.chartable import TableMetadata, build_dihedral, build_symmetric, load_table
+from charzero.chartable import (
+    TableMetadata,
+    build_dihedral,
+    build_symmetric,
+    load_table,
+    metadata_invalid,
+    validate,
+)
 from charzero.cyclotomic import Cyclotomic
 
 from test_golden import GOLDEN_DIR, write_corpus
@@ -123,6 +131,75 @@ def test_invalid_fitting_height_is_one_bounds_flag(height):
     assert zerographs.bound_checks(bad, vanishing.zero_pattern(bad)) == [
         "metadata-invalid:fitting_height"
     ]
+
+
+def metadata_oracle(m) -> list[tuple[str, str]]:
+    """(field, text) for each of validate's six metadata rules m breaks,
+    stated here on their own as the oracle: a nilpotent table has
+    fitting_height 1, a non-solvable one carries no fitting_height, r_value or
+    abelian_by_metanilpotent, and fitting_height and r_value are positive."""
+    fails = []
+    if m.nilpotent and m.fitting_height is not None and m.fitting_height != 1:
+        fails.append(("fitting_height", "nilpotent table must have fitting_height 1"))
+    if m.solvable is False:
+        for name in ("fitting_height", "r_value", "abelian_by_metanilpotent"):
+            if getattr(m, name) is not None:
+                fails.append((name, f"non-solvable table must not carry {name}"))
+    if m.fitting_height is not None and m.fitting_height < 1:
+        fails.append(("fitting_height", "fitting_height must be a positive integer"))
+    if m.r_value is not None and m.r_value < 1:
+        fails.append(("r_value", "r_value must be a positive integer"))
+    return fails
+
+
+def metadata_grid():
+    facts, integers = (None, False, True), (None, -1, 0, 1, 2)
+    for s, n, a, h, r in itertools.product(facts, facts, facts, integers, integers):
+        yield TableMetadata(
+            solvable=s, nilpotent=n, abelian_by_metanilpotent=a, fitting_height=h, r_value=r
+        )
+
+
+def assert_refused_metadata_is_only_flagged_invalid(t, fields):
+    """Both metadata-gated families give metadata-invalid:<field> for each
+    faulty field and nothing else, on both paths."""
+    want = [f"metadata-invalid:{f}" for f in fields]
+    flags = TableAnalysis(t).flags(("covers", "bounds"))
+    assert flags == [f"covers:{w}" for w in want] + [f"bounds:{w}" for w in want], t.metadata
+    assert zerographs.bound_checks(t, vanishing.zero_pattern(t)) == want, t.metadata
+
+
+@pytest.mark.parametrize("build", [lambda: build_dihedral(4), lambda: build_symmetric(4)],
+                         ids=["D8", "S4"])
+def test_metadata_grid_has_one_rule_set(build):
+    t = build()
+    for m in metadata_grid():
+        bad = t._replace(metadata=m)
+        faults = metadata_oracle(m)
+        assert validate(bad) == [text for _, text in faults], m
+        fields = list(dict.fromkeys(f for f, _ in faults))
+        assert metadata_invalid(m) == [f"metadata-invalid:{f}" for f in fields], m
+        if faults:
+            assert_refused_metadata_is_only_flagged_invalid(bad, fields)
+
+
+@pytest.mark.parametrize(
+    "build,metadata,field",
+    [
+        (lambda: build_symmetric(4), TableMetadata(solvable=False, r_value=1), "r_value"),
+        (lambda: build_symmetric(4), TableMetadata(solvable=False, fitting_height=1),
+         "fitting_height"),
+        (lambda: build_dihedral(4), TableMetadata(r_value=0), "r_value"),
+        (lambda: build_dihedral(4), TableMetadata(fitting_height=0), "fitting_height"),
+    ],
+    ids=["S4-nonsolvable-r1", "S4-nonsolvable-h1", "D8-r0", "D8-h0"],
+)
+def test_refused_metadata_raises_no_conjecture_or_bound_flag(build, metadata, field):
+    # validate refuses each; analysed without it, neither family may read a
+    # k_min or Gamma_v bound from the refused facts
+    bad = build()._replace(metadata=metadata)
+    assert validate(bad) != []
+    assert_refused_metadata_is_only_flagged_invalid(bad, [field])
 
 
 def test_bounds_flags_are_bound_checks(corpus):

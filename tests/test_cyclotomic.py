@@ -459,8 +459,13 @@ class TestInvariants:
             (lambda: root_of_unity(0, 1), "n must be >= 1"),
             (lambda: root_of_unity(3, 1).embed(4), "target conductor must be a multiple"),
             (lambda: root_of_unity(3, 1) ** -1, "negative powers not supported"),
+            (lambda: root_of_unity(4, 1).embed(0), "target conductor must be >= 1"),
+            (lambda: root_of_unity(4, 1).embed(-4), "target conductor must be >= 1"),
         ],
-        ids=["euler-phi-0", "phi-0", "conductor-0", "root-0", "embed-4-of-3", "power-minus-1"],
+        ids=[
+            "euler-phi-0", "phi-0", "conductor-0", "root-0", "embed-4-of-3", "power-minus-1",
+            "embed-0", "embed-minus-4",
+        ],
     )
     def test_value_error_texts(self, call, text):
         with pytest.raises(ValueError) as info:
@@ -477,10 +482,15 @@ class TestInvariants:
             (lambda: root_of_unity(True, 0), "n must be an int: True"),
             (lambda: root_of_unity(3.0, 1), "n must be an int: 3.0"),
             (lambda: root_of_unity(4, 1.5), "k must be an int: 1.5"),
+            (lambda: root_of_unity(4, 1).embed(8.0), "target must be an int: 8.0"),
+            (lambda: Cyclotomic.one().embed(True), "target must be an int: True"),
+            (lambda: root_of_unity(3, 1) ** 2.0, "exponent must be an int: 2.0"),
+            (lambda: root_of_unity(3, 1) ** True, "exponent must be an int: True"),
         ],
         ids=[
             "conductor-2.0", "conductor-4.0", "conductor-true", "conductor-string",
             "root-n-true", "root-n-3.0", "root-k-1.5",
+            "embed-8.0", "embed-true", "power-2.0", "power-true",
         ],
     )
     def test_non_int_argument_is_refused(self, call, text):

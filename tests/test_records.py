@@ -1,6 +1,7 @@
 """The records are immutable named tuples, importing the CLI stays light, the
 package namespace imports each submodule only when one of its names is used,
-and no module imports another module's underscore names."""
+no module imports another module's underscore names, and each module's
+__all__ lists only names the module defines."""
 
 import ast
 import importlib
@@ -100,6 +101,31 @@ def private_imports(path: Path) -> list[tuple[str, str]]:
 @pytest.mark.parametrize("path", sorted((SRC / "charzero").glob("*.py")), ids=lambda p: p.stem)
 def test_no_module_imports_another_modules_private_name(path):
     assert private_imports(path) == []
+
+
+def top_level_assignments(path: Path) -> set[str]:
+    """The names a module binds by an assignment in its own body."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    targets = [t for node in tree.body if isinstance(node, ast.Assign) for t in node.targets]
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in (SRC / "charzero").glob("*.py") if p.stem != "__init__"),
+    ids=lambda p: p.stem,
+)
+def test_all_lists_only_what_the_module_defines(path):
+    # a function (an lru_cache wrapper too) or class made in the module, or a
+    # name the module assigns; an imported name is listed by its own module
+    module = importlib.import_module(f"charzero.{path.stem}")
+    assigned = top_level_assignments(path)
+    foreign = [
+        name
+        for name in getattr(module, "__all__", [])
+        if name not in assigned
+        and not (callable(obj := getattr(module, name)) and obj.__module__ == module.__name__)
+    ]
+    assert foreign == []
 
 
 def records():
