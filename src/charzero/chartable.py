@@ -279,20 +279,15 @@ def direct_product(a: CharacterTable, b: CharacterTable) -> CharacterTable:
         for cb in b.classes
     )
     vals = _Values()
-    # every factor value lives for the whole call, so its id is a stable key
-    products: dict[tuple[int, int], Cyclotomic] = {}
-
-    def times(va: Cyclotomic, vb: Cyclotomic) -> Cyclotomic:
-        key = (id(va), id(vb))
-        v = products.get(key)
-        if v is None:
-            v = products[key] = vals.intern(va * vb)
-        return v
-
+    # every value object of a meets every one of b in some entry, so each pair is
+    # multiplied up front, once; the factors keep the objects, hence the id keys, alive
+    da = {id(v): v for x in a.characters for v in x.values}
+    db = {id(v): v for x in b.characters for v in x.values}
+    products = {(i, j): vals.intern(va * vb) for i, va in da.items() for j, vb in db.items()}
     characters = tuple(
         Character(
             name=f"{xa.name}*{xb.name}",
-            values=tuple(times(va, vb) for va in xa.values for vb in xb.values),
+            values=tuple(products[id(va), id(vb)] for va in xa.values for vb in xb.values),
         )
         for xa in a.characters
         for xb in b.characters

@@ -321,10 +321,7 @@ def cyc_from_json(obj) -> Cyclotomic:
     if isinstance(obj, int):
         return Cyclotomic.from_rational(obj)
     if isinstance(obj, dict):
-        n = obj["conductor"]
-        if type(n) is not int:
-            raise ValueError(f"conductor must be an integer, got {n!r}")
-        return Cyclotomic(n, [_quotient(num, den) for num, den in obj["coeffs"]])
+        return Cyclotomic(obj["conductor"], [_quotient(num, den) for num, den in obj["coeffs"]])
     raise ValueError(f"cannot decode cyclotomic value from {obj!r}")
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property, reduce
 from itertools import compress, count
-from operator import and_, attrgetter, or_
+from operator import and_, or_
 
 from .chartable import CharacterTable
 from .cyclotomic import is_prime_power
@@ -90,17 +90,14 @@ class ZeroPattern(
 
 
 def zero_pattern(t: CharacterTable) -> ZeroPattern:
-    # nonzero iff any(coeffs), as in Cyclotomic.is_zero, with no Python frame per entry
+    # zero iff no coefficient is nonzero, as in Cyclotomic.is_zero, without its call
     nonlin = tuple(t.nonlinear_indices())
-    powers = [1 << c for c in range(len(t.classes))]
-    full = (1 << len(powers)) - 1
-    coeffs = attrgetter("coeffs")
     return ZeroPattern(
         table_ref=t.group_name,
         nonlinear_idx=nonlin,
         class_sizes=tuple(c.size for c in t.classes),
         rows=tuple(
-            full ^ sum(compress(powers, map(any, map(coeffs, t.characters[r].values))))
+            sum(1 << c for c, v in enumerate(t.characters[r].values) if not any(v.coeffs))
             for r in nonlin
         ),
         row_names=tuple(t.characters[r].name for r in nonlin),

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import reduce
-from operator import itemgetter, or_
+from operator import or_
 
 from .chartable import CharacterTable, metadata_invalid
 from .vanishing import ZeroPattern, bits, transpose
@@ -84,14 +84,10 @@ def theta(t: CharacterTable, p: ZeroPattern) -> BipartiteGraph:
     """Bipartite graph: nonlinear characters vs non-central classes, edges at
     zeros.  Isolated right vertices (non-vanishing classes) are kept."""
     right_cols = bits(p.noncentral)
-    # itemgetter of one index gives a 1-character string, which map reads alike; of none, raises
-    pick = itemgetter(*right_cols) if right_cols else lambda digits: ()
     return BipartiteGraph(
         left=p.row_names,
         right=tuple(p.col_names[c] for c in right_cols),
-        edges=tuple(
-            tuple(map("1".__eq__, pick(format(row, f"0{p.n_cols}b")[::-1]))) for row in p.rows
-        ),
+        edges=tuple(tuple(map(zeros.__contains__, right_cols)) for zeros in map(set, map(bits, p.rows))),
     )
 
 

@@ -342,6 +342,16 @@ def fixture_table(name):
     return load_table(FIXTURE_DIR / f"{name}.json")
 
 
+def unshared_copy(t):
+    """t with every entry its own Cyclotomic object."""
+    return t._replace(
+        characters=tuple(
+            ch._replace(values=tuple(Cyclotomic(v.conductor, v.coeffs) for v in ch.values))
+            for ch in t.characters
+        )
+    )
+
+
 PRODUCT_PAIRS = {
     "a5xpsl2_7": lambda: (fixture_table("a5"), fixture_table("psl2_7")),
     "a5xd20": lambda: (fixture_table("a5"), build_dihedral(10)),
@@ -396,6 +406,27 @@ class TestSharedValues:
             for vb in xb.values
         ]
         assert [v for ch in p.characters for v in ch.values] == expect
+        assert_one_object_per_value(p)
+
+    @pytest.mark.parametrize(
+        "make",
+        [*PRODUCT_PAIRS.values(), lambda: (unshared_copy(fixture_table("a5")), fixture_table("a5"))],
+        ids=[*PRODUCT_PAIRS.keys(), "a5-unsharedxa5"],
+    )
+    def test_direct_product_multiplies_each_distinct_pair_once(self, make, monkeypatch):
+        a, b = make()
+        calls = []
+        mul = Cyclotomic.__mul__
+
+        def counted(x, y):
+            calls.append(None)
+            return mul(x, y)
+
+        monkeypatch.setattr(Cyclotomic, "__mul__", counted)
+        p = direct_product(a, b)
+        monkeypatch.undo()
+        objects = [len({id(v) for ch in t.characters for v in ch.values}) for t in (a, b)]
+        assert len(calls) == objects[0] * objects[1]
         assert_one_object_per_value(p)
 
     @pytest.mark.parametrize("make", PRODUCT_PAIRS.values(), ids=PRODUCT_PAIRS.keys())
@@ -770,7 +801,7 @@ class TestSerialization:
              "character 1 identity value is not a rational integer"),
             # row 1 holds the records #0 and #1 at entries 3 and 4; row 2 refers to both
             (lambda doc: doc["characters"][1]["values"][4].update(conductor=5.0),
-             "character 1 has a malformed value: conductor must be an integer, got 5.0"),
+             "character 1 has a malformed value: conductor must be an int: 5.0"),
             (lambda doc: doc["characters"][2]["values"].__setitem__(3, "#2"),
              "character 2 has a malformed value: unknown value reference '#2'"),
             (lambda doc: doc["characters"][1]["values"].__setitem__(3, "#0"),
@@ -814,8 +845,8 @@ class TestSerialization:
              "got ['conductor', 'coeffs']"),
             (lambda doc, rec: doc["characters"][1]["values"].__setitem__(
                 1, {"conductor": rec, "coeffs": [[0, 1], [1, 1]]}),
-             "character 1 has a malformed value: conductor must be an integer, "
-             "got {'conductor': 3, 'coeffs': [[0, 1], [1, 1]]}"),
+             "character 1 has a malformed value: conductor must be an int: "
+             "{'conductor': 3, 'coeffs': [[0, 1], [1, 1]]}"),
         ],
         ids=["document", "class", "character", "metadata", "coefficient", "conductor"],
     )
